@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Full correctness gate, ten named stages:
+# Full correctness gate, eleven named stages:
 #
 #   lint      repo lint (token analyzer) + analyzer self-test
 #   release   Release build + tests (warnings are errors)
+#   perfbench benchmark smoke test (perfbench/test_smoke.py, ~30 s)
 #   asan      ASan+UBSan Debug build + tests
 #   tsan      TSan build + tests (thread pool race check)
 #   faults    tier-1 tests under a canned ANOLE_FAULTS schedule (ASan)
@@ -72,6 +73,13 @@ stage_release() {
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DANOLE_WERROR=ON &&
   cmake --build build -j "$jobs" &&
   ctest --test-dir build --output-on-failure -j "$jobs"
+}
+
+stage_perfbench() {
+  # Every workload of BENCHMARK.json, untraced and traced, at smoke scale:
+  # metric names and units match the spec and every correctness check of
+  # the benchmark passes. Builds its own tree in .bench_build/.
+  python3 perfbench/test_smoke.py
 }
 
 stage_asan() {
@@ -156,6 +164,7 @@ stage_tidy() {
 
 run_stage lint    "repo lint + analyzer self-test"                 stage_lint
 run_stage release "Release build + tests (warnings are errors)"    stage_release
+run_stage perfbench "benchmark smoke test (perfbench/)"             stage_perfbench
 run_stage asan    "ASan+UBSan Debug build + tests"                 stage_asan
 run_stage tsan    "TSan build + tests (thread pool race check)"    stage_tsan
 run_stage faults  "tier-1 tests under injected faults (ASan)"      stage_faults

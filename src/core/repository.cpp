@@ -1,6 +1,7 @@
 #include "core/repository.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <set>
 
 #include "util/check.hpp"
@@ -105,13 +106,14 @@ ModelRepository train_model_repository(
 
   // Model training with multi-level clustering (Algorithm 1 lines 4-13).
   //
-  // Parallel structure, scheduled for determinism: every random draw
-  // happens on this thread in a fixed order (one pre-split Rng per
-  // clustering granularity, one per candidate detector), after which the
-  // expensive work — the k-means sweep and the per-candidate detector
-  // training — fans out over the pool. Acceptance then walks the
-  // candidates of each granularity in cluster order, so the repository's
-  // contents are independent of how tasks were scheduled.
+  // Algorithm 1 is an ordered k-sweep: granularity k = 2, 3, ... offers its
+  // clusters in order and each is accepted while the repository holds fewer
+  // than n models. Only that acceptance walk must run in order; training
+  // need not. So every random draw happens on this thread first, in sweep
+  // order (one Rng split per granularity's k-means, then one per candidate
+  // detector), and the expensive work fans out over the pool: the k-means
+  // sweep, then every granularity's candidates in one queue. The result is
+  // independent of the thread count and of how tasks were scheduled.
   const std::size_t max_k =
       std::min(config.max_cluster_k, active_classes.size());
   std::vector<Rng> kmeans_rngs;
@@ -128,19 +130,27 @@ ModelRepository train_model_repository(
     std::vector<std::size_t> member_classes;
     std::vector<const world::Frame*> train;
     std::vector<const world::Frame*> val;
-    detect::GridDetectorConfig detector_config;
     Rng rng{0};
     std::size_t cluster_index = 0;
     std::unique_ptr<detect::GridDetector> detector;
     double f1 = 0.0;
   };
+  const auto accepts = [&](const Candidate& candidate) {
+    return candidate.f1 > config.acceptance_threshold;
+  };
 
+  // Plan every granularity up front, in (k, cluster) order. The candidate
+  // splits come from a copy of `rng`: the walk visits only a prefix of the
+  // granularities, and `rng` must end up split only for those.
+  // `rng_after[k - 2]` is the copy's state after granularity k's splits and
+  // `granularity_end[k - 2]` is one past its last candidate.
+  Rng plan_rng = rng;
+  std::vector<Candidate> candidates;
+  std::vector<std::size_t> granularity_end;
+  std::vector<Rng> rng_after;
   std::set<std::vector<std::size_t>> trained_scene_sets;
-  for (std::size_t k = 2;
-       k <= max_k && repository.size() < config.target_models; ++k) {
+  for (std::size_t k = 2; k <= max_k; ++k) {
     const auto& clustering = clusterings[k - 2];
-
-    std::vector<Candidate> candidates;
     for (std::size_t j = 0; j < k; ++j) {
       std::vector<std::size_t> member_classes;
       for (std::size_t i = 0; i < active_classes.size(); ++i) {
@@ -167,58 +177,84 @@ ModelRepository train_model_repository(
       }
 
       Candidate candidate;
-      candidate.detector_config = config.detector_config;
-      // Built via append rather than operator+ chains: GCC 12 -O2 emits a
-      // spurious -Wrestrict on `"literal" + std::string&&`.
-      std::string model_name = "M";
-      model_name +=
-          std::to_string(repository.size() + candidates.size() + 1);
-      model_name += "(k=";
-      model_name += std::to_string(k);
-      model_name += ",c=";
-      model_name += std::to_string(j);
-      model_name += ")";
-      candidate.detector_config.name = std::move(model_name);
       candidate.member_classes = std::move(member_classes);
       candidate.train = std::move(cluster_train);
       candidate.val = std::move(cluster_val);
-      candidate.rng = rng.split();
+      candidate.rng = plan_rng.split();
       candidate.cluster_index = j;
       candidates.push_back(std::move(candidate));
     }
+    granularity_end.push_back(candidates.size());
+    rng_after.push_back(plan_rng);
+  }
 
-    // Train this granularity's candidates concurrently, each on its own
-    // Rng stream. At most the final granularity trains a few models the
-    // serial sweep would have skipped once the target count was reached.
-    par::parallel_for(0, candidates.size(), 1, [&](std::size_t c) {
-      Candidate& candidate = candidates[c];
-      candidate.detector = std::make_unique<detect::GridDetector>(
-          candidate.detector_config, candidate.rng,
-          candidate.train.front()->grid_size);
-      detect::train_detector(*candidate.detector, candidate.train,
-                             train_config, candidate.rng);
-      candidate.f1 = detect::evaluate_f1(*candidate.detector, candidate.val);
-    });
+  // Train the whole queue in one pool job, handed out in ascending order.
+  // A worker skips candidate c once the finished candidates before it
+  // already accept n models: the walk below fills the repository before
+  // reaching c. So at most threads - 1 candidates past the last one the
+  // walk needs are trained and thrown away.
+  std::mutex queue_mutex;
+  std::vector<bool> finished_accepted(candidates.size(), false);
+  par::parallel_for(0, candidates.size(), 1, [&](std::size_t c) {
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex);
+      const auto accepted_before = static_cast<std::size_t>(
+          std::count(finished_accepted.begin(),
+                     finished_accepted.begin() +
+                         static_cast<std::ptrdiff_t>(c),
+                     true));
+      if (accepted_before >= config.target_models) return;
+    }
+    Candidate& candidate = candidates[c];
+    candidate.detector = std::make_unique<detect::GridDetector>(
+        config.detector_config, candidate.rng,
+        candidate.train.front()->grid_size);
+    detect::train_detector(*candidate.detector, candidate.train,
+                           train_config, candidate.rng);
+    candidate.f1 = detect::evaluate_f1(*candidate.detector, candidate.val);
+    std::lock_guard<std::mutex> lock(queue_mutex);
+    finished_accepted[c] = accepts(candidate);
+  });
 
-    for (Candidate& candidate : candidates) {
+  // The acceptance walk, granularity by granularity in cluster order. A
+  // model's name numbers it from the repository size at the start of its
+  // granularity plus its place in that granularity's candidate list.
+  for (std::size_t k = 2;
+       k <= max_k && repository.size() < config.target_models; ++k) {
+    const std::size_t first_model = repository.size();
+    const std::size_t begin = k == 2 ? 0 : granularity_end[k - 3];
+    for (std::size_t c = begin; c < granularity_end[k - 2]; ++c) {
       if (repository.size() >= config.target_models) break;
+      Candidate& candidate = candidates[c];
       if (config.verbose) {
         log_info("Algorithm1 k=", k, " cluster=", candidate.cluster_index,
                  " scenes=", candidate.member_classes.size(), " train=",
                  candidate.train.size(), " val_f1=", candidate.f1);
       }
-      if (candidate.f1 > config.acceptance_threshold) {
-        SceneModel model;
-        model.detector = std::move(candidate.detector);
-        model.scene_classes = std::move(candidate.member_classes);
-        model.training_frames = std::move(candidate.train);
-        model.validation_frames = std::move(candidate.val);
-        model.validation_f1 = candidate.f1;
-        model.cluster_k = k;
-        model.name = candidate.detector_config.name;
-        repository.add(std::move(model));
-      }
+      if (!accepts(candidate)) continue;
+      // Built via append rather than operator+ chains: GCC 12 -O2 emits a
+      // spurious -Wrestrict on `"literal" + std::string&&`.
+      std::string model_name = "M";
+      model_name += std::to_string(first_model + (c - begin) + 1);
+      model_name += "(k=";
+      model_name += std::to_string(k);
+      model_name += ",c=";
+      model_name += std::to_string(candidate.cluster_index);
+      model_name += ")";
+      candidate.detector->set_name(model_name);
+      SceneModel model;
+      model.detector = std::move(candidate.detector);
+      model.scene_classes = std::move(candidate.member_classes);
+      model.training_frames = std::move(candidate.train);
+      model.validation_frames = std::move(candidate.val);
+      model.validation_f1 = candidate.f1;
+      model.cluster_k = k;
+      model.name = std::move(model_name);
+      repository.add(std::move(model));
     }
+    // Backfill, ASS and M_decision draw on from `rng` as split for the
+    // granularities visited so far.
+    rng = rng_after[k - 2];
   }
 
   if (config.backfill_uncovered_scenes) {

@@ -41,7 +41,8 @@ DetectorTrainResult train_detector(GridDetector& detector,
                                    const DetectorTrainConfig& config,
                                    Rng& rng);
 
-/// Mean frame-level F1 of a detector over frames.
+/// Micro F1 of a detector over frames: the F1 of the MatchCounts summed
+/// over all frames (not a mean of per-frame F1 scores).
 double evaluate_f1(Detector& detector,
                    const std::vector<const world::Frame*>& frames,
                    double iou_threshold = kDefaultIouThreshold);

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "detect/detection.hpp"
@@ -98,6 +99,10 @@ class GridDetector : public Detector {
   void set_confidence_threshold(double threshold) {
     config_.confidence_threshold = threshold;
   }
+
+  /// Renames the detector after construction (Algorithm 1 names a model
+  /// only once it is accepted into the repository).
+  void set_name(std::string name) { config_.name = std::move(name); }
 
  private:
   GridDetectorConfig config_;

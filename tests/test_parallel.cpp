@@ -2,17 +2,20 @@
 // themselves (parallel_for / parallel_reduce semantics), and the
 // determinism contract end to end — matmul kernels, k-means, the full
 // offline profiler, and the batch engine path must produce bitwise
-// identical results at 1 and 4 threads.
+// identical results at 1 and 4 threads, and Algorithm 1's candidate queue
+// must accept what the ordered k-sweep accepts at 1 to 4 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,11 +23,13 @@
 
 #include "cluster/kmeans.hpp"
 #include "core/profiler.hpp"
+#include "core/repository.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "world/featurizer.hpp"
 
 namespace anole {
 namespace {
@@ -685,6 +690,142 @@ TEST(PipelineDeterminism, ProfilerAndEngineIdenticalAtOneAndFourThreads) {
   EXPECT_EQ(parallel.confidence_sequence,
             parallel.batch_confidence_sequence);
   EXPECT_EQ(parallel.detection_count, parallel.batch_detection_count);
+}
+
+
+// --- Algorithm 1's candidate queue -----------------------------------------
+//
+// train_model_repository trains every granularity's candidates from one
+// ordered queue and skips those behind a filled repository. What it
+// accepts, and where it leaves the parent Rng, must match the ordered
+// k-sweep at every thread count.
+
+/// What the sweep leaves behind: the accepted models and the parent Rng's
+/// next draw (backfill, ASS and M_decision continue from that stream).
+struct RepositorySnapshot {
+  std::vector<std::string> names;
+  std::vector<std::size_t> cluster_k;
+  std::vector<std::vector<std::size_t>> scene_classes;
+  std::vector<double> validation_f1;
+  std::uint64_t next_draw = 0;
+};
+
+/// Algorithm 1 on the micro world (6 scene classes, k = 2..6, 10
+/// candidates). Detectors train 3 epochs each with a 0.2 confidence
+/// threshold: cheap, and their validation F1 scores still differ enough
+/// for the acceptance threshold to split them.
+RepositorySnapshot run_repository_sweep(std::size_t target_models,
+                                        double acceptance_threshold,
+                                        std::size_t threads) {
+  par::set_thread_count(threads);
+  const world::World world = world::make_benchmark_world(micro_world_config());
+  const auto train = world.frames_with_role(world::SplitRole::kTrain);
+  const auto val = world.frames_with_role(world::SplitRole::kValidation);
+  const auto index = core::SemanticSceneIndex::build(train);
+  core::SceneEncoderConfig encoder_config;
+  encoder_config.train.epochs = 10;
+  Rng rng(7);
+  core::SceneEncoder encoder(index.class_count(), encoder_config, rng);
+  const world::FrameFeaturizer featurizer;
+  encoder.train(featurizer.featurize_batch(train), index.labels_of(train),
+                rng);
+
+  core::RepositoryConfig config;
+  config.target_models = target_models;
+  config.acceptance_threshold = acceptance_threshold;
+  config.detector_config.confidence_threshold = 0.2;
+  config.detector_train.epochs = 3;
+  config.detector_train.reference_frames = 1;
+  config.min_training_frames = 20;
+  config.min_validation_frames = 4;
+  const core::ModelRepository repository =
+      core::train_model_repository(encoder, index, train, val, config, rng);
+
+  RepositorySnapshot snap;
+  for (std::size_t m = 0; m < repository.size(); ++m) {
+    const core::SceneModel& model = repository.model(m);
+    // Names are assigned at acceptance; the saved detector carries it too.
+    EXPECT_EQ(model.detector->name(), model.name);
+    snap.names.push_back(model.name);
+    snap.cluster_k.push_back(model.cluster_k);
+    snap.scene_classes.push_back(model.scene_classes);
+    snap.validation_f1.push_back(model.validation_f1);
+  }
+  snap.next_draw = rng();
+  return snap;
+}
+
+/// Recorded from the per-granularity sweep (one parallel wave per k)
+/// under the scalar SIMD level.
+struct SweepGolden {
+  std::vector<std::string> names;
+  std::vector<std::size_t> cluster_k;
+  std::vector<std::vector<std::size_t>> scene_classes;
+  std::uint64_t next_draw = 0;
+};
+
+void expect_queue_matches_ordered_sweep(std::size_t target_models,
+                                        double acceptance_threshold,
+                                        const SweepGolden& golden) {
+  ThreadCountGuard threads_guard;
+  set_log_level(LogLevel::kError);
+  const RepositorySnapshot serial =
+      run_repository_sweep(target_models, acceptance_threshold, 1);
+  ASSERT_FALSE(serial.names.empty());
+  for (std::size_t threads = 2; threads <= 4; ++threads) {
+    SCOPED_TRACE(threads);
+    const RepositorySnapshot pooled =
+        run_repository_sweep(target_models, acceptance_threshold, threads);
+    EXPECT_EQ(serial.names, pooled.names);
+    EXPECT_EQ(serial.cluster_k, pooled.cluster_k);
+    EXPECT_EQ(serial.scene_classes, pooled.scene_classes);
+    EXPECT_EQ(serial.validation_f1, pooled.validation_f1);
+    EXPECT_EQ(serial.next_draw, pooled.next_draw);
+  }
+
+  // Four lanes: the most candidates trained speculatively past the fill.
+  SimdLevelGuard simd_guard(simd::Level::kScalar);
+  const RepositorySnapshot scalar =
+      run_repository_sweep(target_models, acceptance_threshold, 4);
+  EXPECT_EQ(scalar.names, golden.names);
+  EXPECT_EQ(scalar.cluster_k, golden.cluster_k);
+  EXPECT_EQ(scalar.scene_classes, golden.scene_classes);
+  EXPECT_EQ(scalar.next_draw, golden.next_draw);
+}
+
+TEST(RepositoryQueue, TargetFilledPartwayThroughAGranularity) {
+  // Fills at k = 3's first candidate; k = 3's second was still split off
+  // the parent Rng, and k >= 4 never was.
+  expect_queue_matches_ordered_sweep(
+      3, 0.0,
+      {{"M1(k=2,c=0)", "M2(k=2,c=1)", "M3(k=3,c=0)"},
+       {2, 2, 3},
+       {{1, 2, 3}, {0, 4, 5}, {0, 5}},
+       104902765991755884ULL});
+}
+
+TEST(RepositoryQueue, RejectedCandidatesAreWalkedPast) {
+  // Rejects (k=2,c=0), (k=3,c=1) and (k=4,c=1); fills exactly at the end of
+  // k = 4. Names number from the repository size at the start of each
+  // granularity, hence the second M2.
+  expect_queue_matches_ordered_sweep(
+      3, 0.02,
+      {{"M2(k=2,c=1)", "M2(k=3,c=0)", "M4(k=4,c=3)"},
+       {2, 3, 4},
+       {{0, 4, 5}, {0, 5}, {1}},
+       18210392735207548193ULL});
+}
+
+TEST(RepositoryQueue, UnreachableTargetBackfillsFromTheParentRng) {
+  // Every granularity runs; the uncovered scenes are then backfilled from
+  // the parent Rng, which must sit where the serial sweep left it.
+  expect_queue_matches_ordered_sweep(
+      100, 0.03,
+      {{"M1(k=3,c=0)", "M2(k=5,c=2)", "M3(scene=1)", "M4(scene=3)",
+        "M5(scene=4)"},
+       {3, 5, 0, 0, 0},
+       {{0, 5}, {2}, {1}, {3}, {4}},
+       578429742658494059ULL});
 }
 
 }  // namespace
