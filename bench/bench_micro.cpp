@@ -41,6 +41,7 @@
 #include "sampling/thompson.hpp"
 #include "tensor/qgemm.hpp"
 #include "tensor/simd.hpp"
+#include "util/hash.hpp"
 #include "util/parallel.hpp"
 #include "world/featurizer.hpp"
 #include "world/world.hpp"
@@ -368,14 +369,6 @@ struct EngineBatchSample {
   std::uint64_t digest = 0;
 };
 
-std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xFFu;
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
-
 std::uint64_t double_bits(double value) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &value, sizeof(bits));
@@ -397,16 +390,16 @@ EngineBatchSample time_engine_batch(OspArtifacts& artifacts, int reps) {
     const std::vector<core::EngineResult> results =
         engine.process_batch(frames);
     sample.seconds = std::min(sample.seconds, seconds_since(start));
-    std::uint64_t hash = 0xCBF29CE484222325ULL;
+    Fnv1a hash;
     for (const core::EngineResult& result : results) {
-      hash = mix64(hash, result.served_model);
-      hash = mix64(hash, double_bits(result.top1_confidence));
-      hash = mix64(hash, result.detections.size());
+      hash.mix(result.served_model);
+      hash.mix(double_bits(result.top1_confidence));
+      hash.mix(result.detections.size());
       for (const detect::Detection& d : result.detections) {
-        hash = mix64(hash, double_bits(d.confidence));
+        hash.mix(double_bits(d.confidence));
       }
     }
-    sample.digest = hash;
+    sample.digest = hash.value();
   }
   sample.fps = static_cast<double>(sample.frames) / sample.seconds;
   return sample;

@@ -21,6 +21,7 @@
 #include "core/governor.hpp"
 #include "detect/detection.hpp"
 #include "device/session.hpp"
+#include "util/hash.hpp"
 #include "util/parallel.hpp"
 #include "world/scenario.hpp"
 
@@ -53,14 +54,6 @@ struct RunStats {
   std::size_t drift_responses = 0;
   std::uint64_t timeline_hash = 0;  // FNV-1a over (served, dropped) pairs
 };
-
-std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xFFu;
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
 
 /// Detector tuned for the frozen baseline's smoothed-confidence scale
 /// (~0.2): sensitive enough to fire within the first few hundred frames
@@ -122,13 +115,12 @@ int main() {
         posture == Posture::kGovernorOnly ? &governor : nullptr);
     detect::MatchCounts counts;
     RunStats stats;
-    stats.timeline_hash = 0xCBF29CE484222325ULL;
+    Fnv1a timeline;
     for (const world::Frame& frame : stream.clip.frames) {
       const auto result = engine.process(frame);
       counts += detect::match_detections(result.detections, frame.objects);
-      stats.timeline_hash = fnv_mix(stats.timeline_hash, result.served_model);
-      stats.timeline_hash =
-          fnv_mix(stats.timeline_hash, result.health.frame_dropped ? 1 : 0);
+      timeline.mix(result.served_model);
+      timeline.mix(result.health.frame_dropped ? 1 : 0);
       if (result.health.frame_dropped) continue;
       const double weight_mb = memory.load_mb(
           stack.system.repository.detector(result.served_model)
@@ -146,6 +138,7 @@ int main() {
       cost.deadline_ms = kDeadlineMs;
       (void)session.process(cost);
     }
+    stats.timeline_hash = timeline.value();
     stats.f1 = counts.f1();
     stats.mean_latency_ms = session.mean_latency_ms();
     stats.p95_latency_ms = session.p95_latency_ms();

@@ -118,11 +118,11 @@ stage_quant() {
 
 stage_simd() {
   # Pins the SIMD dispatch level below the host's detected one so the
-  # scalar/SSE2 kernels — normally shadowed by AVX2 — run the full tier-1
-  # suite. avx2 is forced explicitly when the host supports it, covering
-  # the clamp path and the FMA kernels regardless of future defaults.
+  # scalar reference kernels — normally shadowed by AVX2 — run the full
+  # tier-1 suite. avx2 is forced explicitly when the host supports it,
+  # covering the clamp path and the FMA kernels regardless of future
+  # defaults.
   ANOLE_SIMD=scalar ctest --test-dir build --output-on-failure -j "$jobs" &&
-  ANOLE_SIMD=sse2 ctest --test-dir build --output-on-failure -j "$jobs" &&
   if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
     ANOLE_SIMD=avx2 ctest --test-dir build --output-on-failure -j "$jobs"
   fi

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace anole::core {
 
@@ -178,19 +179,13 @@ DriftResponse DriftDetector::take_response() {
 }
 
 std::uint64_t DriftDetector::trace_hash() const {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xFFu;
-      hash *= 0x100000001B3ULL;
-    }
-  };
+  Fnv1a hash;
   for (const DriftEvent& event : trace_) {
-    mix(static_cast<std::uint64_t>(event.kind));
-    mix(event.observation);
-    mix(event.detail);
+    hash.mix(static_cast<std::uint64_t>(event.kind));
+    hash.mix(event.observation);
+    hash.mix(event.detail);
   }
-  return hash;
+  return hash.value();
 }
 
 void DriftDetector::reset() {

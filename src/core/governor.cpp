@@ -5,6 +5,7 @@
 
 #include "tensor/simd.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace anole::core {
 
@@ -128,24 +129,18 @@ void RuntimeGovernor::transition_to(GovernorState next) {
 }
 
 std::uint64_t RuntimeGovernor::trace_hash() const {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xFFu;
-      hash *= 0x100000001B3ULL;
-    }
-  };
+  Fnv1a hash;
   // The active SIMD dispatch level is part of the trace identity: a
   // replay under a different level (ANOLE_SIMD) is a different execution
   // environment and must not silently hash equal.
-  mix(static_cast<std::uint64_t>(simd::active_level()) + 1);
+  hash.mix(static_cast<std::uint64_t>(simd::active_level()) + 1);
   for (const GovernorEvent& event : trace_) {
-    mix(event.frame);
-    mix(static_cast<std::uint64_t>(event.from));
-    mix(static_cast<std::uint64_t>(event.to));
-    mix(event.dropped ? 1 : 0);
+    hash.mix(event.frame);
+    hash.mix(static_cast<std::uint64_t>(event.from));
+    hash.mix(static_cast<std::uint64_t>(event.to));
+    hash.mix(event.dropped ? 1 : 0);
   }
-  return hash;
+  return hash.value();
 }
 
 void RuntimeGovernor::reset() {

@@ -123,7 +123,7 @@ Tensor LeakyReLU::backward(const Tensor& grad_output) {
 
 Tensor Sigmoid::forward(const Tensor& input) {
   last_width_ = input.rank() == 2 ? input.cols() : input.size();
-  // σ through the dispatched transcendental kernel (libm at scalar/SSE2,
+  // σ through the dispatched transcendental kernel (libm at scalar,
   // polynomial at AVX2 — DESIGN.md §13), written straight into an
   // uninitialized output.
   Tensor out = Tensor::uninitialized(input.shape());

@@ -85,8 +85,8 @@ float bce_with_logits(const Tensor& logits, const Tensor& targets,
   const std::size_t n = logits.size();
   ANOLE_CHECK_GT(n, 0u, "bce_with_logits: empty input");
   // The transcendental core — σ(z) and log1p(exp(-|z|)) — runs through
-  // the dispatched kernel: scalar/SSE2 evaluate the exact libm
-  // expressions, AVX2 the documented polynomial path (DESIGN.md §13).
+  // the dispatched kernel: scalar evaluates the exact libm expressions,
+  // AVX2 the documented polynomial path (DESIGN.md §13).
   // σ(z) lands in `grad` and is rescaled to the gradient in place.
   Tensor log_terms = Tensor::uninitialized(logits.shape());
   simd::sigmoid_terms(simd::active_level(), logits.data().data(), n,

@@ -41,9 +41,9 @@ float half_to_float(std::uint16_t half);
 /// `data` + `scales` are the wire state (what artifact v3 stores). The
 /// kernel itself runs from `exec`, a derived int16 copy padded to a
 /// multiple of simd::kQgemmDepthMultiple columns: int16 operands feed the
-/// multiply-add-pairs idiom (pmaddwd, 8 MACs per instruction at baseline
-/// SSE2 and 16 at AVX2 — double the fp32 rate), and the zero padding
-/// removes the scalar tail of the widest vectorized dot. Call prepare()
+/// multiply-add-pairs idiom (256-bit pmaddwd at AVX2: 16 MACs per
+/// instruction, double the fp32 rate), and the zero padding removes the
+/// scalar tail of the vectorized dot. Call prepare()
 /// after filling the wire fields; qgemm() requires it.
 struct QuantizedMatrix {
   std::size_t channels = 0;  ///< output channels (rows of `data`)

@@ -6,9 +6,6 @@
 #include <cstdlib>
 #include <string_view>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #endif
@@ -75,11 +72,7 @@ Level probe_cpu() {
     return Level::kAVX2;
   }
 #endif
-#if defined(__SSE2__)
-  return Level::kSSE2;
-#else
   return Level::kScalar;
-#endif
 }
 
 Level clamp_to_detected(Level level) {
@@ -101,19 +94,18 @@ Level parse_env_level() {
   Level requested = Level::kScalar;
   if (name == "scalar") {
     requested = Level::kScalar;
-  } else if (name == "sse2") {
-    requested = Level::kSSE2;
   } else if (name == "avx2") {
     requested = Level::kAVX2;
   } else {
     // A typo here would silently break replay pinning, so fail loudly.
     ANOLE_CHECK(false, "ANOLE_SIMD: unknown level '", name,
-                "' (expected scalar, sse2, or avx2)");
+                "' (expected one of: scalar, avx2)");
   }
   return clamp_to_detected(requested);
 }
 
-/// set_level override; kSentinelNoOverride (>= any valid level) = unset.
+/// set_level override, or kNoOverride (negative, so never a valid level)
+/// when unset.
 constexpr int kNoOverride = -1;
 std::atomic<int> g_override{kNoOverride};
 
@@ -149,38 +141,6 @@ void gemm_rows_scalar(std::size_t ilo, std::size_t ihi, std::size_t k,
     }
   }
 }
-
-#if defined(__SSE2__)
-void gemm_rows_sse2(std::size_t ilo, std::size_t ihi, std::size_t k,
-                    std::size_t n, const float* pa, std::size_t ars,
-                    std::size_t acs, const float* pb, float* pc) {
-  for (std::size_t jb = 0; jb < n; jb += kJBlock) {
-    const std::size_t jhi = std::min(n, jb + kJBlock);
-    for (std::size_t kb = 0; kb < k; kb += kKBlock) {
-      const std::size_t khi = std::min(k, kb + kKBlock);
-      for (std::size_t i = ilo; i < ihi; ++i) {
-        float* crow = pc + i * n;
-        if (kb == 0) std::fill(crow + jb, crow + jhi, 0.0f);
-        for (std::size_t kk = kb; kk < khi; ++kk) {
-          const float aik = pa[i * ars + kk * acs];
-          if (aik == 0.0f) continue;
-          const float* brow = pb + kk * n;
-          // Separate mul + add per lane: one rounding each, exactly the
-          // scalar expression c[j] += a*b[j] — bitwise equal to kScalar.
-          const __m128 va = _mm_set1_ps(aik);
-          std::size_t j = jb;
-          for (; j + 4 <= jhi; j += 4) {
-            const __m128 prod = _mm_mul_ps(va, _mm_loadu_ps(brow + j));
-            _mm_storeu_ps(crow + j,
-                          _mm_add_ps(_mm_loadu_ps(crow + j), prod));
-          }
-          for (; j < jhi; ++j) crow[j] += aik * brow[j];
-        }
-      }
-    }
-  }
-}
-#endif  // __SSE2__
 
 #if ANOLE_HAVE_AVX2_TARGET
 /// Lane-enable masks for `_mm256_maskload_ps`/`_mm256_maskstore_ps`:
@@ -350,48 +310,6 @@ float quantize_row_int16_scalar(std::span<const float> src, std::int16_t* dst,
   return scale;
 }
 
-#if defined(__SSE2__)
-float quantize_row_int16_sse2(std::span<const float> src, std::int16_t* dst,
-                              std::size_t padded) {
-  const std::size_t n = src.size();
-  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFFFFFF));
-  __m128 vmax = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vmax = _mm_max_ps(vmax,
-                      _mm_and_ps(_mm_loadu_ps(src.data() + i), abs_mask));
-  }
-  __m128 fold = _mm_max_ps(vmax, _mm_shuffle_ps(vmax, vmax, 0x4E));
-  fold = _mm_max_ps(fold, _mm_shuffle_ps(fold, fold, 0xB1));
-  float abs_max = _mm_cvtss_f32(fold);
-  for (; i < n; ++i) abs_max = std::max(abs_max, std::fabs(src[i]));
-  const float scale = row_scale_for(abs_max);
-  const float inv_scale = 1.0f / scale;
-  const __m128 vinv = _mm_set1_ps(inv_scale);
-  const __m128 vlo = _mm_set1_ps(-127.0f);
-  const __m128 vhi = _mm_set1_ps(127.0f);
-  i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128 a = _mm_min_ps(
-        _mm_max_ps(_mm_mul_ps(_mm_loadu_ps(src.data() + i), vinv), vlo),
-        vhi);
-    const __m128 b = _mm_min_ps(
-        _mm_max_ps(_mm_mul_ps(_mm_loadu_ps(src.data() + i + 4), vinv), vlo),
-        vhi);
-    // cvtps2dq rounds to nearest-even (default MXCSR), matching
-    // quantize_code; the saturating pack cannot clip after the clamp.
-    const __m128i packed =
-        _mm_packs_epi32(_mm_cvtps_epi32(a), _mm_cvtps_epi32(b));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), packed);
-  }
-  for (; i < n; ++i) {
-    dst[i] = static_cast<std::int16_t>(quantize_code(src[i], inv_scale));
-  }
-  std::fill(dst + n, dst + padded, std::int16_t{0});
-  return scale;
-}
-#endif  // __SSE2__
-
 #if ANOLE_HAVE_AVX2_TARGET
 ANOLE_TARGET_AVX2
 float quantize_row_int16_avx2(std::span<const float> src, std::int16_t* dst,
@@ -482,73 +400,6 @@ void qgemm_rows_scalar(std::size_t ilo, std::size_t ihi, std::size_t n,
   }
 }
 
-#if defined(__SSE2__)
-void qgemm_rows_sse2(std::size_t ilo, std::size_t ihi, std::size_t n,
-                     std::size_t kp, const std::int16_t* xq,
-                     const float* xscale, const std::int16_t* pw,
-                     const float* pscale, const float* pbias, float* py) {
-  for (std::size_t jb = 0; jb < n; jb += kChannelBlock) {
-    const std::size_t jhi = std::min(n, jb + kChannelBlock);
-    for (std::size_t i = ilo; i < ihi; ++i) {
-      const std::int16_t* xrow = xq + i * kp;
-      const float row_scale = xscale[i];
-      float* yrow = py + i * n;
-      std::size_t j = jb;
-      // Four output channels per iteration: each 128-bit x load feeds
-      // four pmaddwd accumulators, and one unpack tree reduces all four
-      // at once (amortizing the horizontal fold that dominates short-
-      // depth epilogues). The dequant matches the scalar formula exactly:
-      // cvtdq2ps == static_cast<float>(int32), and the scale product
-      // rounds once per lane just like (row_scale * pscale[j]).
-      const __m128 vrs = _mm_set1_ps(row_scale);
-      for (; j + 4 <= jhi; j += 4) {
-        const std::int16_t* w0 = pw + j * kp;
-        const std::int16_t* w1 = w0 + kp;
-        const std::int16_t* w2 = w1 + kp;
-        const std::int16_t* w3 = w2 + kp;
-        __m128i a0 = _mm_setzero_si128();
-        __m128i a1 = _mm_setzero_si128();
-        __m128i a2 = _mm_setzero_si128();
-        __m128i a3 = _mm_setzero_si128();
-        for (std::size_t kk = 0; kk < kp; kk += 8) {
-          const __m128i xv = _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(xrow + kk));
-          a0 = _mm_add_epi32(a0, _mm_madd_epi16(xv, _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(w0 + kk))));
-          a1 = _mm_add_epi32(a1, _mm_madd_epi16(xv, _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(w1 + kk))));
-          a2 = _mm_add_epi32(a2, _mm_madd_epi16(xv, _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(w2 + kk))));
-          a3 = _mm_add_epi32(a3, _mm_madd_epi16(xv, _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(w3 + kk))));
-        }
-        const __m128i t01 = _mm_add_epi32(_mm_unpacklo_epi32(a0, a1),
-                                          _mm_unpackhi_epi32(a0, a1));
-        const __m128i t23 = _mm_add_epi32(_mm_unpacklo_epi32(a2, a3),
-                                          _mm_unpackhi_epi32(a2, a3));
-        const __m128i sums = _mm_add_epi32(
-            _mm_unpacklo_epi64(t01, t23), _mm_unpackhi_epi64(t01, t23));
-        const __m128 scaled = _mm_mul_ps(
-            _mm_cvtepi32_ps(sums), _mm_mul_ps(vrs, _mm_loadu_ps(pscale + j)));
-        const __m128 out = pbias == nullptr
-            ? scaled
-            : _mm_add_ps(scaled, _mm_loadu_ps(pbias + j));
-        _mm_storeu_ps(yrow + j, out);
-      }
-      for (; j < jhi; ++j) {
-        const std::int16_t* w0 = pw + j * kp;
-        std::int32_t acc = 0;
-        for (std::size_t kk = 0; kk < kp; ++kk) {
-          acc += static_cast<std::int32_t>(xrow[kk]) * w0[kk];
-        }
-        const float value = static_cast<float>(acc) * (row_scale * pscale[j]);
-        yrow[j] = pbias == nullptr ? value : value + pbias[j];
-      }
-    }
-  }
-}
-#endif  // __SSE2__
-
 #if ANOLE_HAVE_AVX2_TARGET
 ANOLE_TARGET_AVX2
 void qgemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t n,
@@ -564,8 +415,12 @@ void qgemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t n,
       std::size_t j = jb;
       // 256-bit pmaddwd: 16 int16 MACs per instruction, four channels per
       // iteration; each accumulator folds to 128 bits and goes through
-      // the same unpack-tree reduction as the SSE2 kernel. int32 sums are
-      // exact, so this is bitwise identical to every other level.
+      // one unpack tree that reduces all four at once (amortizing the
+      // horizontal fold that dominates short-depth epilogues). The
+      // dequant matches the scalar formula exactly: cvtdq2ps ==
+      // static_cast<float>(int32), and the scale product rounds once per
+      // lane just like (row_scale * pscale[j]). int32 sums are exact, so
+      // this is bitwise identical to the scalar level.
       const __m128 vrs = _mm_set1_ps(row_scale);
       for (; j + 4 <= jhi; j += 4) {
         const std::int16_t* w0 = pw + j * kp;
@@ -740,22 +595,6 @@ void kmeans_distances_scalar(const float* point, std::size_t dims,
   }
 }
 
-#if defined(__SSE2__)
-void kmeans_distances_sse2(const float* point, std::size_t dims,
-                           const double* ct, std::size_t k_stride,
-                           double* dist) {
-  for (std::size_t j = 0; j + 2 <= k_stride; j += 2) {
-    __m128d acc = _mm_setzero_pd();
-    for (std::size_t d = 0; d < dims; ++d) {
-      const __m128d pv = _mm_set1_pd(static_cast<double>(point[d]));
-      const __m128d diff = _mm_sub_pd(pv, _mm_loadu_pd(ct + d * k_stride + j));
-      acc = _mm_add_pd(acc, _mm_mul_pd(diff, diff));
-    }
-    _mm_storeu_pd(dist + j, acc);
-  }
-}
-#endif  // __SSE2__
-
 #if ANOLE_HAVE_AVX2_TARGET
 ANOLE_TARGET_AVX2
 void kmeans_distances_avx2(const float* point, std::size_t dims,
@@ -806,8 +645,6 @@ const char* level_name(Level level) {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSSE2:
-      return "sse2";
     case Level::kAVX2:
       return "avx2";
   }
@@ -822,11 +659,6 @@ void gemm_rows(Level level, std::size_t ilo, std::size_t ihi, std::size_t k,
 #if ANOLE_HAVE_AVX2_TARGET
     case Level::kAVX2:
       gemm_rows_avx2(ilo, ihi, k, n, pa, a_row_stride, a_col_stride, pb, pc);
-      return;
-#endif
-#if defined(__SSE2__)
-    case Level::kSSE2:
-      gemm_rows_sse2(ilo, ihi, k, n, pa, a_row_stride, a_col_stride, pb, pc);
       return;
 #endif
     default:
@@ -847,10 +679,6 @@ float quantize_row_int16(Level level, std::span<const float> src,
     case Level::kAVX2:
       return quantize_row_int16_avx2(src, dst, padded);
 #endif
-#if defined(__SSE2__)
-    case Level::kSSE2:
-      return quantize_row_int16_sse2(src, dst, padded);
-#endif
     default:
       return quantize_row_int16_scalar(src, dst, padded);
   }
@@ -867,11 +695,6 @@ void qgemm_rows(Level level, std::size_t ilo, std::size_t ihi, std::size_t n,
 #if ANOLE_HAVE_AVX2_TARGET
     case Level::kAVX2:
       qgemm_rows_avx2(ilo, ihi, n, kp, xq, xscale, pw, pscale, pbias, py);
-      return;
-#endif
-#if defined(__SSE2__)
-    case Level::kSSE2:
-      qgemm_rows_sse2(ilo, ihi, n, kp, xq, xscale, pw, pscale, pbias, py);
       return;
 #endif
     default:
@@ -891,9 +714,6 @@ void sigmoid_terms(Level level, const float* z, std::size_t n, float* p,
       return;
 #endif
     default:
-      // kSSE2 shares the libm path: the sigmoid cannot be vectorized
-      // bitwise-exactly, and the SSE2 level's contract is bitwise
-      // agreement with scalar.
       sigmoid_terms_scalar(z, n, p, log_term);
       return;
   }
@@ -909,11 +729,6 @@ void kmeans_distances(Level level, const float* point, std::size_t dims,
 #if ANOLE_HAVE_AVX2_TARGET
     case Level::kAVX2:
       kmeans_distances_avx2(point, dims, centroids_t, k_stride, dist);
-      return;
-#endif
-#if defined(__SSE2__)
-    case Level::kSSE2:
-      kmeans_distances_sse2(point, dims, centroids_t, k_stride, dist);
       return;
 #endif
     default:

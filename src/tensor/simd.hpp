@@ -2,26 +2,25 @@
 //
 // Every vector instruction in the repo lives behind this module: callers
 // pick a `Level` once (normally `active_level()`) and hand it to the
-// kernels below. Three levels exist — a genuinely scalar reference
+// kernels below. Two levels exist — a genuinely scalar reference
 // (autovectorization suppressed, the baseline every speedup is measured
-// against), the baseline-x86-64 SSE2 path, and an AVX2+FMA path — probed
-// from CPUID at first use and overridable with the ANOLE_SIMD environment
-// variable or `set_level()` (tests, replay).
+// against) and an AVX2+FMA path — probed from CPUID at first use and
+// overridable with the ANOLE_SIMD environment variable or `set_level()`
+// (tests, replay). A level stays only while a benchmark workload runs it.
 //
 // Determinism contract (per dispatch level):
-//   - int8 qgemm accumulates exact int32 sums at every level, so all
-//     levels produce bitwise identical outputs.
-//   - fp32 GEMM: kScalar and kSSE2 are bitwise identical (both evaluate
-//     c[j] += a*b[j] with one rounding per multiply and add); kAVX2 fuses
-//     the multiply-add (FMA, one rounding), so its outputs differ from
-//     scalar by the FMA rounding only — bounded by a few ULP per
-//     accumulation step — and are bitwise stable at that level.
-//   - k-means distances are bitwise identical at every level (lanes map
+//   - int8 qgemm accumulates exact int32 sums at both levels, so kScalar
+//     and kAVX2 produce bitwise identical outputs.
+//   - fp32 GEMM: kScalar evaluates c[j] += a*b[j] with one rounding per
+//     multiply and add; kAVX2 fuses the multiply-add (FMA, one rounding),
+//     so its outputs differ from scalar by the FMA rounding only —
+//     bounded by a few ULP per accumulation step — and are bitwise stable
+//     at that level.
+//   - k-means distances are bitwise identical at both levels (lanes map
 //     to centroids; each lane's accumulation order matches the scalar
 //     loop and no FMA is used).
-//   - sigmoid/BCE transcendentals: kScalar and kSSE2 call libm and are
-//     bitwise identical to each other; kAVX2 uses a documented
-//     polynomial exp/log1p pair accurate to a few ULP (see
+//   - sigmoid/BCE transcendentals: kScalar calls libm; kAVX2 uses a
+//     documented polynomial exp/log1p pair accurate to a few ULP (see
 //     sigmoid_terms below).
 //   At any fixed level, every kernel is bitwise identical across thread
 //   counts and chunkings. The active level is mixed into fault and
@@ -35,17 +34,19 @@
 
 namespace anole::simd {
 
-/// Dispatch levels, ordered by capability.
-enum class Level : std::uint8_t { kScalar = 0, kSSE2 = 1, kAVX2 = 2 };
+/// Dispatch levels, ordered by capability. The values are mixed into the
+/// fault and governor trace hashes, so they must never change: recorded
+/// traces stay comparable only while they hold.
+enum class Level : std::uint8_t { kScalar = 0, kAVX2 = 2 };
 
 /// Best level the CPU supports (CPUID probe, cached).
 Level detected_level();
 
 /// Level the kernels run at: `set_level()` override if set, else the
-/// ANOLE_SIMD environment variable (values: scalar, sse2, avx2), else
-/// `detected_level()`. Requests above the detected level clamp down so a
-/// pinned replay degrades loudly (trace-hash mismatch) instead of
-/// executing illegal instructions.
+/// ANOLE_SIMD environment variable (values: scalar, avx2; anything else
+/// fails an ANOLE_CHECK), else `detected_level()`. Requests above the
+/// detected level clamp down so a pinned replay degrades loudly
+/// (trace-hash mismatch) instead of executing illegal instructions.
 Level active_level();
 
 /// Runtime override (wins over ANOLE_SIMD; clamped to the detected
@@ -55,7 +56,7 @@ void set_level(Level level);
 /// Drops the `set_level()` override, restoring env/detected resolution.
 void reset_level();
 
-/// Stable lowercase name ("scalar", "sse2", "avx2").
+/// Stable lowercase name ("scalar", "avx2").
 const char* level_name(Level level);
 
 /// --- fp32 GEMM row kernel -------------------------------------------
@@ -101,15 +102,15 @@ inline constexpr std::size_t kKmeansLaneMultiple = 4;
 /// p[i] = 1 / (1 + exp(-z[i])) and, when `log_term` is non-null,
 /// log_term[i] = log1p(exp(-|z[i]|)) — the transcendental core of the
 /// logistic sigmoid and of the numerically stable binary cross-entropy.
-/// `p` may alias `z` (in-place sigmoid). kScalar and kSSE2 evaluate
-/// exactly the libm expressions above, so those levels stay bitwise
-/// identical to each other and to the historical scalar loss loop. kAVX2
-/// evaluates a Cephes-style polynomial exp and an atanh-series log1p:
-/// like the FMA contraction in gemm_rows, the AVX2 level trades bitwise
-/// agreement with libm for throughput — outputs agree to a few ULP
-/// relative (the exp argument is clamped to [-87.33, 88.0], so inputs
-/// past sigmoid saturation differ from libm by < 1.1e-38 absolute) and
-/// are bitwise stable at that level across calls and thread counts.
+/// `p` may alias `z` (in-place sigmoid). kScalar evaluates exactly the
+/// libm expressions above, bitwise identical to the historical scalar
+/// loss loop. kAVX2 evaluates a Cephes-style polynomial exp and an
+/// atanh-series log1p: like the FMA contraction in gemm_rows, the AVX2
+/// level trades bitwise agreement with libm for throughput — outputs
+/// agree to a few ULP relative (the exp argument is clamped to
+/// [-87.33, 88.0], so inputs past sigmoid saturation differ from libm by
+/// < 1.1e-38 absolute) and are bitwise stable at that level across calls
+/// and thread counts.
 void sigmoid_terms(Level level, const float* z, std::size_t n, float* p,
                    float* log_term);
 
@@ -119,7 +120,7 @@ void sigmoid_terms(Level level, const float* z, std::size_t n, float* p,
 /// multiple of kKmeansLaneMultiple (>= k; the pad lanes are read but
 /// their outputs ignored — dist must have k_stride slots). Each lane
 /// accumulates (double(point[d]) - c)² in ascending d order with separate
-/// multiply and add, so results are bitwise identical at every level and
+/// multiply and add, so results are bitwise identical at both levels and
 /// to the classic per-centroid scalar loop.
 void kmeans_distances(Level level, const float* point, std::size_t dims,
                       const double* centroids_t, std::size_t k_stride,

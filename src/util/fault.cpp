@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/spec.hpp"
 
 namespace anole::fault {
@@ -159,22 +160,16 @@ std::vector<FaultEvent> FaultInjector::trace() const {
 
 std::uint64_t FaultInjector::trace_hash() const {
   const std::scoped_lock lock(mutex_);
-  std::uint64_t hash = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xFFu;
-      hash *= 0x100000001B3ULL;
-    }
-  };
+  Fnv1a hash;
   // The execution-context tag (active SIMD level) seeds the hash so a
   // replay on a different kernel path cannot alias a matching schedule.
-  mix(trace_context());
+  hash.mix(trace_context());
   for (const FaultEvent& event : trace_) {
-    mix(static_cast<std::uint64_t>(event.site));
-    mix(event.check_index);
-    mix(event.payload);
+    hash.mix(static_cast<std::uint64_t>(event.site));
+    hash.mix(event.check_index);
+    hash.mix(event.payload);
   }
-  return hash;
+  return hash.value();
 }
 
 void FaultInjector::reset() {

@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/spec.hpp"
 #include "world/frame_generator.hpp"
 
@@ -199,24 +200,18 @@ std::optional<ScenarioConfig> ScenarioConfig::from_env() {
 }
 
 std::uint64_t ScenarioStream::trace_hash() const {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xFFu;
-      hash *= 0x100000001B3ULL;
-    }
-  };
-  mix(config.seed);
+  Fnv1a hash;
+  hash.mix(config.seed);
   for (const ScenarioConfig::PackState& state : config.packs) {
-    mix(std::bit_cast<std::uint64_t>(state.intensity));
-    mix(std::bit_cast<std::uint64_t>(state.magnitude));
+    hash.mix(std::bit_cast<std::uint64_t>(state.intensity));
+    hash.mix(std::bit_cast<std::uint64_t>(state.magnitude));
   }
   for (const ScenarioEvent& event : events) {
-    mix(static_cast<std::uint64_t>(event.pack));
-    mix(event.frame);
-    mix(event.detail);
+    hash.mix(static_cast<std::uint64_t>(event.pack));
+    hash.mix(event.frame);
+    hash.mix(event.detail);
   }
-  return hash;
+  return hash.value();
 }
 
 ScenarioStream compose_scenario(const World& world,

@@ -24,6 +24,7 @@
 #include "cluster/kmeans.hpp"
 #include "core/profiler.hpp"
 #include "core/repository.hpp"
+#include "simd_levels.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
 #include "util/log.hpp"
@@ -38,24 +39,6 @@ namespace {
 struct ThreadCountGuard {
   ~ThreadCountGuard() { par::set_thread_count(0); }
 };
-
-/// Pins the SIMD dispatch level for a scope.
-struct SimdLevelGuard {
-  explicit SimdLevelGuard(simd::Level level) { simd::set_level(level); }
-  ~SimdLevelGuard() { simd::reset_level(); }
-};
-
-/// Every dispatch level this host can actually run.
-std::vector<simd::Level> available_levels() {
-  std::vector<simd::Level> levels = {simd::Level::kScalar};
-  if (simd::detected_level() >= simd::Level::kSSE2) {
-    levels.push_back(simd::Level::kSSE2);
-  }
-  if (simd::detected_level() >= simd::Level::kAVX2) {
-    levels.push_back(simd::Level::kAVX2);
-  }
-  return levels;
-}
 
 bool bitwise_equal(const Tensor& a, const Tensor& b) {
   if (a.shape() != b.shape()) return false;
@@ -248,8 +231,8 @@ TEST(TensorUninitialized, HasShapeAndAcceptsWrites) {
   EXPECT_EQ(t.at(16, 4), 2.5f);
 }
 
-/// The fp32 dispatch contract (tensor/simd.hpp): scalar and SSE2 match
-/// the mul+add reference bitwise; AVX2 contracts each multiply-add into
+/// The fp32 dispatch contract (tensor/simd.hpp): scalar matches the
+/// mul+add reference bitwise; AVX2 contracts each multiply-add into
 /// an FMA, so it gets an error envelope instead. Every level must be
 /// bitwise identical to itself across thread counts.
 TEST(TensorParallel, MatmulMatchesNaiveBitwiseAtAnyThreadCount) {
@@ -433,7 +416,6 @@ TEST(SimdDispatch, SetLevelClampsToDetected) {
 
 TEST(SimdDispatch, LevelNamesAreStable) {
   EXPECT_STREQ(simd::level_name(simd::Level::kScalar), "scalar");
-  EXPECT_STREQ(simd::level_name(simd::Level::kSSE2), "sse2");
   EXPECT_STREQ(simd::level_name(simd::Level::kAVX2), "avx2");
 }
 
@@ -473,7 +455,7 @@ TEST(SimdDispatch, SigmoidTermsMatchLibmWithinEnvelope) {
         EXPECT_NEAR(l[i], l_ref[i], 1e-5f * std::abs(l_ref[i]) + 1.2e-38f)
             << "z=" << z[i];
       } else {
-        // Scalar and SSE2 share the libm path bitwise.
+        // The scalar level is the libm path itself.
         EXPECT_EQ(std::memcmp(p.data(), p_ref.data(), n * sizeof(float)), 0);
         EXPECT_EQ(std::memcmp(l.data(), l_ref.data(), n * sizeof(float)), 0);
       }

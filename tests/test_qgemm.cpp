@@ -18,6 +18,7 @@
 
 #include "nn/quantize.hpp"
 #include "nn/serialize.hpp"
+#include "simd_levels.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
 #include "util/parallel.hpp"
@@ -29,24 +30,6 @@ namespace {
 struct ThreadCountGuard {
   ~ThreadCountGuard() { par::set_thread_count(0); }
 };
-
-/// Pins the SIMD dispatch level for a scope.
-struct SimdLevelGuard {
-  explicit SimdLevelGuard(simd::Level level) { simd::set_level(level); }
-  ~SimdLevelGuard() { simd::reset_level(); }
-};
-
-/// Every dispatch level this host can actually run.
-std::vector<simd::Level> available_levels() {
-  std::vector<simd::Level> levels = {simd::Level::kScalar};
-  if (simd::detected_level() >= simd::Level::kSSE2) {
-    levels.push_back(simd::Level::kSSE2);
-  }
-  if (simd::detected_level() >= simd::Level::kAVX2) {
-    levels.push_back(simd::Level::kAVX2);
-  }
-  return levels;
-}
 
 bool bitwise_equal(const Tensor& a, const Tensor& b) {
   if (a.shape() != b.shape()) return false;
@@ -248,8 +231,7 @@ TEST(Qgemm, BitwiseDeterministicAcrossThreadCounts) {
 TEST(Qgemm, BitwiseIdenticalAtEveryDispatchLevel) {
   // The int8 contract (tensor/simd.hpp): int32 accumulation is exact and
   // the fused dequant is one rounding per element at every level, so
-  // SSE2 and AVX2 must match the scalar kernel bit for bit — at any
-  // thread count.
+  // AVX2 must match the scalar kernel bit for bit — at any thread count.
   ThreadCountGuard guard;
   Rng rng(22);
   for (const auto& [m, k, n] :
@@ -319,9 +301,9 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b) {
 TEST(GemmEdgeShapes, RowVectorColumnVectorAndK1) {
   Rng rng(12);
   // (1 x k)(k x n), (m x k)(k x 1), k = 1, and 1x1x1. The fp32 kernels
-  // run under every exact (non-FMA) dispatch level — scalar and SSE2
-  // share the naive reference's rounding bit for bit; the int8 path is
-  // exact at every level including AVX2.
+  // run under the exact (non-FMA) scalar level, which shares the naive
+  // reference's rounding bit for bit; the int8 path is exact at every
+  // level including AVX2.
   for (const auto& [m, k, n] :
        std::vector<std::array<std::size_t, 3>>{
            {1, 17, 9}, {9, 17, 1}, {6, 1, 6}, {1, 1, 1}}) {
