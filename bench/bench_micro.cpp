@@ -10,7 +10,8 @@
 // verifies bitwise thread-count invariance per kernel, plus bitwise
 // *level* invariance for the int8 and k-means paths, then times the
 // post-training quantize/dequantize pass and fp32-v2 vs quantized-v3
-// artifact loads on the OSP system, and writes the numbers (including
+// artifact loads on the OSP system, and writes the numbers with their
+// provenance (the configure-time commit, every ANOLE_* variable set, and
 // the detected and active SIMD levels) to BENCH_micro.json in the
 // working directory. Exit is non-zero on a determinism failure, on a
 // k-means/qgemm 4-thread slowdown, or — when a vector level is active —
@@ -30,6 +31,12 @@
 #include <cstring>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include <unistd.h>  // environ
 
 #include "bench/common.hpp"
 #include "cluster/kmeans.hpp"
@@ -163,6 +170,43 @@ BENCHMARK(BM_CacheAdmit);
 
 /// Thread count the parallel numbers are reported at.
 constexpr std::size_t kBenchThreads = 4;
+
+/// Every ANOLE_* variable set in this process's environment, sorted by
+/// name: the knobs that could have shaped the numbers.
+std::vector<std::pair<std::string, std::string>> anole_environment() {
+  std::vector<std::pair<std::string, std::string>> vars;
+  for (char** entry = environ; *entry != nullptr; ++entry) {
+    const std::string_view var(*entry);
+    if (!var.starts_with("ANOLE_")) continue;
+    const std::size_t eq = var.find('=');
+    vars.emplace_back(std::string(var.substr(0, eq)),
+                      eq == std::string_view::npos
+                          ? std::string()
+                          : std::string(var.substr(eq + 1)));
+  }
+  std::sort(vars.begin(), vars.end());
+  return vars;
+}
+
+/// `text` as a quoted JSON string.
+std::string json_string(std::string_view text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char escaped[8];
+      std::snprintf(escaped, sizeof(escaped), "\\u%04x",
+                    static_cast<unsigned>(c));
+      out += escaped;
+    } else {
+      out += c;
+    }
+  }
+  out += '"';
+  return out;
+}
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -437,11 +481,13 @@ int run_json_suite() {
   const simd::Level detected = simd::detected_level();
   const simd::Level active = simd::active_level();
   std::fprintf(stderr,
-               "[bench_micro] deterministic suite: default pool threads=%zu, "
+               "[bench_micro] deterministic suite at commit %s: default pool "
+               "threads=%zu, "
                "SIMD detected=%s active=%s, scalar 1T reference vs active at "
                "1/2/%zu pool threads\n",
-               default_threads, simd::level_name(detected),
-               simd::level_name(active), kBenchThreads);
+               ANOLE_BENCH_COMMIT, default_threads,
+               simd::level_name(detected), simd::level_name(active),
+               kBenchThreads);
 
   /// Detector L1 shape at a full-batch row count: the layer the int8 fast
   /// path serves most often.
@@ -543,6 +589,16 @@ int run_json_suite() {
     return 1;
   }
   std::fprintf(out, "{\n");
+  std::fprintf(out, "  \"commit\": %s,\n",
+               json_string(ANOLE_BENCH_COMMIT).c_str());
+  const auto env = anole_environment();
+  std::fprintf(out, "  \"anole_env\": {%s", env.empty() ? "" : "\n");
+  for (std::size_t i = 0; i < env.size(); ++i) {
+    std::fprintf(out, "    %s: %s%s\n", json_string(env[i].first).c_str(),
+                 json_string(env[i].second).c_str(),
+                 i + 1 < env.size() ? "," : "");
+  }
+  std::fprintf(out, "%s},\n", env.empty() ? "" : "  ");
   std::fprintf(out, "  \"default_pool_threads\": %zu,\n", default_threads);
   std::fprintf(out, "  \"pool_threads\": %zu,\n", kBenchThreads);
   std::fprintf(out, "  \"simd\": {\n");

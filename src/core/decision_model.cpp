@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
+#include <unordered_map>
 
 #include "nn/loss.hpp"
 #include "nn/serialize.hpp"
@@ -14,9 +16,6 @@ namespace anole::core {
 DecisionDataset build_decision_dataset(ModelRepository& repository,
                                        const DecisionSamplingConfig& config,
                                        Rng& rng) {
-  ANOLE_CHECK(config.suitability_f1 > 0.0 && config.suitability_f1 <= 1.0,
-              "build_decision_dataset: suitability_f1 must be in (0, 1], "
-              "got ", config.suitability_f1);
   DecisionDataset dataset;
   const std::size_t n_models = repository.size();
   if (n_models == 0) return dataset;
@@ -25,11 +24,16 @@ DecisionDataset build_decision_dataset(ModelRepository& repository,
   sampling::AdaptiveSceneSampler adaptive(sizes, config.theta);
   sampling::RandomSceneSampler random(sizes);
 
-  const world::FrameFeaturizer featurizer;
-  FloatBuffer feature_rows;
-  FloatBuffer target_rows;
-  std::size_t samples = 0;
-
+  // Plan: the samplers' posteriors move with draw counts alone, so every
+  // round's (arm, frame) pick is drawn up front, in the per-round Rng
+  // order, before any model runs. Repeat draws of a frame share one slot.
+  struct Draw {
+    std::size_t arm;
+    std::size_t slot;
+  };
+  std::vector<Draw> draws;
+  std::vector<const world::Frame*> frames;
+  std::unordered_map<const world::Frame*, std::size_t> slot_of;
   for (std::size_t round = 0; round < config.budget; ++round) {
     std::size_t arm;
     if (config.adaptive) {
@@ -47,31 +51,47 @@ DecisionDataset build_decision_dataset(ModelRepository& repository,
                            ? model.training_frames
                            : model.validation_frames;
     if (pool.empty()) continue;
-    const world::Frame& frame = *pool[rng.uniform_index(pool.size())];
+    const world::Frame* frame = pool[rng.uniform_index(pool.size())];
+    const auto [it, inserted] = slot_of.try_emplace(frame, frames.size());
+    if (inserted) frames.push_back(frame);
+    draws.push_back({arm, it->second});
+  }
 
-    // Test every compressed model on the sampled frame (paper IV-B); the
-    // allocation vector marks the models whose frame-level F1 passes both
-    // the absolute suitability threshold and a relative bar against the
-    // per-frame best, weighted by their F1 so clearly better models get
-    // more label mass.
-    std::vector<double> scores(n_models, 0.0);
-    // Scoring fans out over the pool through the const Detector::infer
-    // path (disjoint writes, no rng draws, no module state). No work
-    // hint: each model is a full network pass, always worth a chunk.
-    par::parallel_for(0, n_models, 1, [&](std::size_t m) {
-      scores[m] = detect::match_detections(
-                      repository.detector(m).infer(frame), frame.objects)
-                      .f1();
-    });
+  // Score: test every compressed model on every distinct sampled frame
+  // (paper IV-B) in one fan-out through the const Detector::infer path.
+  // Each score is a pure function of its (frame, model) pair written to
+  // its own cell, so the result is independent of the thread count. No
+  // work hint: each index is a full network pass, always worth a chunk.
+  std::vector<double> scores(frames.size() * n_models, 0.0);
+  par::parallel_for(0, scores.size(), 1, [&](std::size_t i) {
+    const world::Frame& frame = *frames[i / n_models];
+    scores[i] = detect::match_detections(
+                    repository.detector(i % n_models).infer(frame),
+                    frame.objects)
+                    .f1();
+  });
+
+  // Assemble, in round order: the allocation vector marks the models
+  // whose frame-level F1 is positive and at least 0.8x the per-frame best,
+  // weighted by their F1 so clearly better models get more label mass.
+  const world::FrameFeaturizer featurizer;
+  const std::size_t width = world::FrameFeaturizer::feature_count();
+  FloatBuffer feature_rows;
+  FloatBuffer target_rows;
+  for (const Draw& draw : draws) {
+    const world::Frame& frame = *frames[draw.slot];
+    const auto frame_scores =
+        std::span<const double>(scores).subspan(draw.slot * n_models,
+                                                n_models);
     const std::size_t best = static_cast<std::size_t>(
-        std::max_element(scores.begin(), scores.end()) - scores.begin());
-    const double bar = std::max(config.suitability_f1 * scores[best],
-                                0.8 * scores[best]);
+        std::max_element(frame_scores.begin(), frame_scores.end()) -
+        frame_scores.begin());
+    const double bar = 0.8 * frame_scores[best];
     std::vector<float> allocation(n_models, 0.0f);
     bool any = false;
     for (std::size_t m = 0; m < n_models; ++m) {
-      if (scores[m] > 0.0 && scores[m] >= bar) {
-        allocation[m] = static_cast<float>(scores[m]);
+      if (frame_scores[m] > 0.0 && frame_scores[m] >= bar) {
+        allocation[m] = static_cast<float>(frame_scores[m]);
         any = true;
       }
     }
@@ -88,12 +108,11 @@ DecisionDataset build_decision_dataset(ModelRepository& repository,
     target_rows.insert(target_rows.end(), allocation.begin(),
                        allocation.end());
     dataset.best_model.push_back(best);
-    dataset.source_arm.push_back(arm);
+    dataset.source_arm.push_back(draw.arm);
     dataset.semantic_scene.push_back(frame.semantic_scene_id());
-    ++samples;
   }
 
-  const std::size_t width = world::FrameFeaturizer::feature_count();
+  const std::size_t samples = draws.size();
   dataset.features = Tensor(Shape{samples, width}, std::move(feature_rows));
   dataset.targets = Tensor(Shape{samples, n_models}, std::move(target_rows));
   dataset.draws_per_model =

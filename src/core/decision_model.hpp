@@ -36,16 +36,14 @@ struct DecisionSamplingConfig {
   std::size_t budget = 1200;
   /// Well-sampledness confidence theta.
   double theta = 0.9;
-  /// A model is "suitable" for a frame when its frame-level F1 reaches
-  /// this threshold.
-  double suitability_f1 = 0.5;
   /// Use Thompson sampling (the paper's ASS); false = the random baseline.
   bool adaptive = true;
 };
 
 /// Runs ASS over the repository: repeatedly picks a training set Gamma_i,
 /// draws a frame from it, tests every compressed model on the frame, and
-/// labels the frame with the set of suitable models.
+/// labels the frame with the set of suitable models. A frame drawn in
+/// several rounds is tested once; its label repeats in every such round.
 DecisionDataset build_decision_dataset(ModelRepository& repository,
                                        const DecisionSamplingConfig& config,
                                        Rng& rng);

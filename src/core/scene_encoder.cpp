@@ -31,7 +31,18 @@ Tensor SceneEncoder::infer(const Tensor& input) const {
 }
 
 Tensor SceneEncoder::backward(const Tensor& grad_output) {
+  ANOLE_CHECK(grad_output.rank() == 2 && grad_output.cols() == class_count_,
+              "SceneEncoder::backward: expected [batch, ", class_count_,
+              "] logit gradients, got ", shape_to_string(grad_output.shape()));
   return trunk_->backward(head_->backward(grad_output));
+}
+
+void SceneEncoder::accumulate_gradients(const Tensor& grad_output) {
+  ANOLE_CHECK(grad_output.rank() == 2 && grad_output.cols() == class_count_,
+              "SceneEncoder::accumulate_gradients: expected [batch, ",
+              class_count_, "] logit gradients, got ",
+              shape_to_string(grad_output.shape()));
+  trunk_->accumulate_gradients(head_->backward(grad_output));
 }
 
 std::vector<nn::Parameter*> SceneEncoder::parameters() {

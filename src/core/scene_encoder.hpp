@@ -37,6 +37,7 @@ class SceneEncoder : public nn::Module {
   Tensor forward(const Tensor& input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
+  void accumulate_gradients(const Tensor& grad_output) override;
   std::vector<nn::Parameter*> parameters() override;
   void set_training(bool training) override;
   std::string name() const override { return "M_scene"; }

@@ -127,7 +127,7 @@ DetectorTrainResult train_detector(
                               static_cast<float>(config.positive_weight));
       const float box_loss =
           nn::mse_loss(boxes, target_boxes, grad_boxes, box_mask);
-      net.backward(
+      net.accumulate_gradients(
           merge_gradients(grad_obj, grad_boxes, config.box_loss_weight));
       optimizer.step();
       epoch_loss += obj_loss + config.box_loss_weight * box_loss;

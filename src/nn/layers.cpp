@@ -41,6 +41,11 @@ Tensor Linear::infer(const Tensor& input) const {
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
+  Linear::accumulate_gradients(grad_output);
+  return matmul_transpose_b(grad_output, weight_.value);
+}
+
+void Linear::accumulate_gradients(const Tensor& grad_output) {
   ANOLE_CHECK(!cached_input_.empty(),
               "Linear::backward before forward");
   ANOLE_CHECK(grad_output.rank() == 2 && grad_output.cols() == out_features_,
@@ -48,7 +53,6 @@ Tensor Linear::backward(const Tensor& grad_output) {
               "], got ", shape_to_string(grad_output.shape()));
   weight_.grad += matmul_transpose_a(cached_input_, grad_output);
   bias_.grad += sum_rows(grad_output);
-  return matmul_transpose_b(grad_output, weight_.value);
 }
 
 std::vector<Parameter*> Linear::parameters() { return {&weight_, &bias_}; }

@@ -15,6 +15,8 @@ class Linear : public Module {
   Tensor forward(const Tensor& input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
+  /// backward() minus the input-gradient GEMM.
+  void accumulate_gradients(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "Linear"; }
   std::uint64_t flops_per_sample() const override;

@@ -7,7 +7,8 @@
 // The interface is deliberately simple: forward() caches whatever the layer
 // needs, backward() consumes the upstream gradient and returns the gradient
 // with respect to the layer input, accumulating parameter gradients into
-// Parameter::grad.
+// Parameter::grad. accumulate_gradients() is backward() for callers that
+// only want the parameter gradients (every trainer).
 #pragma once
 
 #include <cstdint>
@@ -54,6 +55,16 @@ class Module {
   /// Propagates `grad_output` (same shape as the last forward output),
   /// accumulates parameter gradients, and returns the input gradient.
   virtual Tensor backward(const Tensor& grad_output) = 0;
+
+  /// Parameter-only backward, for training loops that discard the input
+  /// gradient. Contract: after the same forward(), every Parameter::grad
+  /// ends bitwise equal to what backward(grad_output) leaves, and the
+  /// same contract violations fire (before forward, shape mismatch,
+  /// quantized layers). Overrides may skip only the work behind the input
+  /// gradient that backward() would return. The default is backward().
+  virtual void accumulate_gradients(const Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
 
   /// All learnable parameters of this module (possibly empty).
   virtual std::vector<Parameter*> parameters() { return {}; }

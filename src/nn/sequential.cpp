@@ -38,6 +38,15 @@ Tensor Sequential::backward(const Tensor& grad_output) {
   return current;
 }
 
+void Sequential::accumulate_gradients(const Tensor& grad_output) {
+  if (modules_.empty()) return;
+  Tensor current = grad_output;
+  for (std::size_t i = modules_.size() - 1; i > 0; --i) {
+    current = modules_[i]->backward(current);
+  }
+  modules_.front()->accumulate_gradients(current);
+}
+
 std::vector<Parameter*> Sequential::parameters() {
   std::vector<Parameter*> params;
   for (auto& module : modules_) {

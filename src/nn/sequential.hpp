@@ -25,6 +25,9 @@ class Sequential : public Module {
   Tensor forward(const Tensor& input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
+  /// backward() through modules n-1..1, then accumulate_gradients() on
+  /// module 0, whose input gradient nothing consumes.
+  void accumulate_gradients(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   void set_training(bool training) override;
   std::string name() const override { return "Sequential"; }

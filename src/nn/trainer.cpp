@@ -59,7 +59,7 @@ TrainResult train_classifier(Module& net, const Tensor& inputs,
       Tensor logits = net.forward(x);
       Tensor grad;
       epoch_loss += softmax_cross_entropy(logits, y, grad);
-      net.backward(grad);
+      net.accumulate_gradients(grad);
       optimizer.step();
       ++batches;
     }
@@ -123,7 +123,7 @@ TrainResult train_soft_classifier(Module& net, const Tensor& inputs,
       Tensor logits = net.forward(x);
       Tensor grad;
       epoch_loss += softmax_cross_entropy_soft(logits, t, grad);
-      net.backward(grad);
+      net.accumulate_gradients(grad);
       optimizer.step();
       ++batches;
     }

@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
 
+#include "core/scene_encoder.hpp"
 #include "nn/loss.hpp"
+#include "nn/quantize.hpp"
 #include "nn/sequential.hpp"
+#include "simd_levels.hpp"
+#include "world/featurizer.hpp"
 
 namespace anole::nn {
 namespace {
@@ -250,6 +257,115 @@ TEST(MakeMlp, DropoutVariant) {
   auto net = make_mlp({5, 8, 8, 3}, rng, 0.2f);
   // Linear ReLU Dropout Linear ReLU Dropout Linear.
   EXPECT_EQ(net->size(), 7u);
+}
+
+// --- Parameter-only backward ----------------------------------------------
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+/// Builds two identically seeded modules and runs two training steps on
+/// each: forward + backward() on one, forward + accumulate_gradients() on
+/// the other, with dL/dout = out. The accumulated parameter gradients must
+/// be bitwise equal at every SIMD level.
+void expect_accumulate_matches_backward(
+    const std::function<ModulePtr(Rng&)>& make, std::size_t in_width) {
+  for (simd::Level level : available_levels()) {
+    SCOPED_TRACE(simd::level_name(level));
+    SimdLevelGuard guard(level);
+    Rng init_a(41);
+    Rng init_b(41);
+    const ModulePtr full = make(init_a);
+    const ModulePtr params_only = make(init_b);
+    full->set_training(true);
+    params_only->set_training(true);
+    Rng data(42);
+    for (int step = 0; step < 2; ++step) {
+      const Tensor x = random_input(6, in_width, data);
+      const Tensor out_full = full->forward(x);
+      const Tensor out_params = params_only->forward(x);
+      ASSERT_TRUE(bitwise_equal(out_full, out_params));
+      (void)full->backward(out_full);
+      params_only->accumulate_gradients(out_params);
+    }
+    const auto expected = full->parameters();
+    const auto actual = params_only->parameters();
+    ASSERT_EQ(expected.size(), actual.size());
+    ASSERT_FALSE(expected.empty());
+    for (std::size_t p = 0; p < expected.size(); ++p) {
+      EXPECT_TRUE(bitwise_equal(expected[p]->grad, actual[p]->grad))
+          << "parameter " << p;
+    }
+  }
+}
+
+TEST(AccumulateGradients, LinearMatchesBackward) {
+  expect_accumulate_matches_backward(
+      [](Rng& rng) { return std::make_unique<Linear>(7, 5, rng); }, 7);
+}
+
+TEST(AccumulateGradients, MlpWithDropoutMatchesBackward) {
+  expect_accumulate_matches_backward(
+      [](Rng& rng) { return make_mlp({9, 12, 8, 4}, rng, 0.25f); }, 9);
+}
+
+TEST(AccumulateGradients, SceneEncoderMatchesBackward) {
+  expect_accumulate_matches_backward(
+      [](Rng& rng) {
+        return std::make_unique<core::SceneEncoder>(
+            5, core::SceneEncoderConfig(), rng);
+      },
+      world::FrameFeaturizer::feature_count());
+}
+
+TEST(AccumulateGradients, BeforeForwardThrows) {
+  Rng rng(43);
+  Linear layer(4, 3, rng);
+  EXPECT_THROW(layer.accumulate_gradients(Tensor::matrix(2, 3)),
+               std::invalid_argument);
+  const auto net = make_mlp({4, 5, 3}, rng);
+  EXPECT_THROW(net->accumulate_gradients(Tensor::matrix(2, 3)),
+               std::invalid_argument);
+  // A forward with the wrong gradient width still throws.
+  (void)layer.forward(random_input(2, 4, rng));
+  EXPECT_THROW(layer.accumulate_gradients(Tensor::matrix(2, 4)),
+               std::invalid_argument);
+}
+
+/// The what() of the std::invalid_argument `call` throws, or "" if none.
+std::string contract_message(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(AccumulateGradients, QuantizedLayersThrowAsBackwardDoes) {
+  Rng rng(44);
+  Linear linear(6, 4, rng);
+  QuantizedLinear quantized(linear);
+  const Tensor x = random_input(3, 6, rng);
+  const Tensor out = quantized.forward(x);
+  const std::string from_backward =
+      contract_message([&] { (void)quantized.backward(out); });
+  EXPECT_NE(from_backward, "");
+  EXPECT_EQ(contract_message([&] { quantized.accumulate_gradients(out); }),
+            from_backward);
+
+  // A quantized net fails the same way, whichever layer throws first.
+  const auto net = make_mlp({6, 5, 4}, rng);
+  (void)quantize_linear_layers(*net);
+  const Tensor net_out = net->forward(x);
+  const std::string net_backward =
+      contract_message([&] { (void)net->backward(net_out); });
+  EXPECT_NE(net_backward, "");
+  EXPECT_EQ(contract_message([&] { net->accumulate_gradients(net_out); }),
+            net_backward);
 }
 
 }  // namespace

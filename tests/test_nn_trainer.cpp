@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "detect/detector_trainer.hpp"
+#include "micro_world.hpp"
 #include "nn/loss.hpp"
 #include "nn/sequential.hpp"
+#include "simd_levels.hpp"
+#include "util/hash.hpp"
 
 namespace anole::nn {
 namespace {
@@ -108,6 +114,43 @@ TEST(GatherRows, SelectsRows) {
   EXPECT_EQ(g.rows(), 2u);
   EXPECT_EQ(g.at(0, 0), 5.0f);
   EXPECT_EQ(g.at(1, 1), 2.0f);
+}
+
+/// Algorithm 1's detector step on the micro world: two epochs over 40
+/// training frames. The digest folds the bits of every epoch loss and
+/// every final weight; the golden values were recorded with the full
+/// backward pass in the loop, so the parameter-only backward must leave
+/// training bit-for-bit unchanged.
+TEST(DetectorTrainerGolden, MicroWorldLossesAndWeightsUnchanged) {
+  SimdLevelGuard guard(simd::Level::kScalar);
+  const world::World world = world::make_benchmark_world(micro_world_config());
+  const auto train = world.frames_with_role(world::SplitRole::kTrain);
+  ASSERT_GE(train.size(), 40u);
+  const std::vector<const world::Frame*> frames(train.begin(),
+                                                train.begin() + 40);
+  Rng rng(11);
+  detect::GridDetector detector(detect::GridDetectorConfig::compressed(),
+                                rng);
+  detect::DetectorTrainConfig config;
+  config.epochs = 2;
+  const auto result = detect::train_detector(detector, frames, config, rng);
+  ASSERT_EQ(result.epoch_losses.size(), 2u);
+
+  Fnv1a digest;
+  for (double loss : result.epoch_losses) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &loss, sizeof(bits));
+    digest.mix(bits);
+  }
+  for (Parameter* param : detector.network().parameters()) {
+    for (float value : param->value.data()) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, &value, sizeof(bits));
+      digest.mix(bits);
+    }
+  }
+  EXPECT_EQ(digest.value(), 0x561e266b107f333dULL);
+  EXPECT_EQ(rng(), 16482541442581881830ULL);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // themselves (parallel_for / parallel_reduce semantics), and the
 // determinism contract end to end — matmul kernels, k-means, the full
 // offline profiler, and the batch engine path must produce bitwise
-// identical results at 1 and 4 threads, and Algorithm 1's candidate queue
-// must accept what the ordered k-sweep accepts at 1 to 4 threads.
+// identical results at 1 and 4 threads, Algorithm 1's candidate queue
+// must accept what the ordered k-sweep accepts at 1 to 4 threads, and ASS
+// must label what its per-round loop labelled at 1, 2 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <limits>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -22,11 +24,14 @@
 #include <thread>
 
 #include "cluster/kmeans.hpp"
+#include "core/decision_model.hpp"
 #include "core/profiler.hpp"
 #include "core/repository.hpp"
+#include "micro_world.hpp"
 #include "simd_levels.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -558,26 +563,6 @@ TEST(SerialCutoff, HintedAndUnhintedChunkingMatchBitwise) {
 
 // --- Full-pipeline determinism -------------------------------------------
 
-world::WorldConfig micro_world_config() {
-  world::WorldConfig config;
-  config.frames_per_clip = 40;
-  config.clip_scale = 0.12;
-  config.seed = 99;
-  return config;
-}
-
-core::ProfilerConfig micro_profiler_config() {
-  core::ProfilerConfig config;
-  config.encoder.train.epochs = 10;
-  config.repository.target_models = 5;
-  config.repository.detector_train.epochs = 4;
-  config.repository.min_training_frames = 20;
-  config.repository.min_validation_frames = 4;
-  config.sampling.budget = 120;
-  config.decision.train.epochs = 10;
-  return config;
-}
-
 /// Everything observable about a profiler run that determinism must pin:
 /// repository structure, validation scores, decision-model outputs, and
 /// the engine's frame-by-frame behaviour (sequential and batch paths).
@@ -808,6 +793,127 @@ TEST(RepositoryQueue, UnreachableTargetBackfillsFromTheParentRng) {
        {3, 5, 0, 0, 0},
        {{0, 5}, {2}, {1}, {3}, {4}},
        578429742658494059ULL});
+}
+
+// --- ASS: plan every round, score each distinct frame once, assemble ------
+//
+// build_decision_dataset draws all rounds up front, scores each distinct
+// sampled frame against every model in one fan-out, and assembles the
+// labels in round order. Its output must match the per-round loop it
+// replaced (one pool barrier per round) at every thread count.
+
+/// Everything build_decision_dataset returns, plus where it leaves the
+/// parent Rng.
+struct AssSnapshot {
+  std::size_t samples = 0;
+  /// Distinct feature rows: fewer than `samples` means a frame was drawn
+  /// in more than one round.
+  std::size_t distinct_frames = 0;
+  /// Distinct best_model values: more than one means the scores decide
+  /// the labels rather than the all-zero fallback.
+  std::size_t best_models_seen = 0;
+  /// FNV-1a over the bits of every features and targets value.
+  std::uint64_t tensor_digest = 0;
+  /// FNV-1a over (best_model, source_arm, semantic_scene) per sample.
+  std::uint64_t label_digest = 0;
+  std::vector<double> draws_per_model;
+  std::uint64_t next_draw = 0;
+};
+
+AssSnapshot run_ass(core::ModelRepository& repository, bool adaptive) {
+  core::DecisionSamplingConfig config;
+  config.budget = 150;
+  config.adaptive = adaptive;
+  Rng rng(23);
+  const core::DecisionDataset dataset =
+      core::build_decision_dataset(repository, config, rng);
+
+  AssSnapshot snap;
+  snap.samples = dataset.features.rows();
+  Fnv1a tensors;
+  for (const Tensor* t : {&dataset.features, &dataset.targets}) {
+    for (float value : t->data()) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, &value, sizeof(bits));
+      tensors.mix(bits);
+    }
+  }
+  snap.tensor_digest = tensors.value();
+  Fnv1a labels;
+  for (std::size_t i = 0; i < snap.samples; ++i) {
+    labels.mix(dataset.best_model.at(i));
+    labels.mix(dataset.source_arm.at(i));
+    labels.mix(dataset.semantic_scene.at(i));
+  }
+  snap.label_digest = labels.value();
+  std::set<std::vector<float>> rows;
+  for (std::size_t i = 0; i < snap.samples; ++i) {
+    const auto row = dataset.features.row(i);
+    rows.emplace(row.begin(), row.end());
+  }
+  snap.distinct_frames = rows.size();
+  snap.best_models_seen =
+      std::set<std::size_t>(dataset.best_model.begin(),
+                            dataset.best_model.end())
+          .size();
+  snap.draws_per_model = dataset.draws_per_model;
+  snap.next_draw = rng();
+  return snap;
+}
+
+void expect_ass_snapshot(const AssSnapshot& actual,
+                         const AssSnapshot& expected) {
+  EXPECT_EQ(actual.samples, expected.samples);
+  EXPECT_EQ(actual.distinct_frames, expected.distinct_frames);
+  EXPECT_EQ(actual.best_models_seen, expected.best_models_seen);
+  EXPECT_EQ(actual.tensor_digest, expected.tensor_digest);
+  EXPECT_EQ(actual.label_digest, expected.label_digest);
+  EXPECT_EQ(actual.draws_per_model, expected.draws_per_model);
+  EXPECT_EQ(actual.next_draw, expected.next_draw);
+}
+
+TEST(AssPlan, MatchesPerRoundLoopAtEveryThreadCount) {
+  ThreadCountGuard threads_guard;
+  SimdLevelGuard simd_guard(simd::Level::kScalar);
+  set_log_level(LogLevel::kError);
+  const world::World world = world::make_benchmark_world(micro_world_config());
+  // Detectors trained long enough, and thresholded low enough, to score
+  // above zero on most frames: at the micro config's defaults every
+  // frame-F1 is 0 and every label is the model-0 fallback.
+  core::ProfilerConfig config = micro_profiler_config();
+  config.repository.detector_config.confidence_threshold = 0.2;
+  config.repository.detector_train.epochs = 8;
+  Rng rng(7);
+  core::OfflineProfiler profiler(config);
+  core::AnoleSystem system = profiler.run(world, rng);
+  ASSERT_EQ(system.repository.size(), 5u);
+
+  // Recorded from the per-round loop under the scalar SIMD level.
+  const AssSnapshot adaptive_golden{150,
+                                    40,
+                                    5,
+                                    0xc3f66b980813aef1ULL,
+                                    0x74b4b6649f4d8153ULL,
+                                    {29, 32, 28, 31, 30},
+                                    10944946611903599176ULL};
+  const AssSnapshot random_golden{150,
+                                  39,
+                                  5,
+                                  0xfde798543e2e8878ULL,
+                                  0x714370bfb86cf093ULL,
+                                  {35, 32, 23, 33, 27},
+                                  14709271709437224214ULL};
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    par::set_thread_count(threads);
+    const AssSnapshot adaptive = run_ass(system.repository, true);
+    const AssSnapshot random = run_ass(system.repository, false);
+    // Repeat draws exercise the one-score-per-distinct-frame path.
+    EXPECT_LT(adaptive.distinct_frames, adaptive.samples);
+    EXPECT_LT(random.distinct_frames, random.samples);
+    expect_ass_snapshot(adaptive, adaptive_golden);
+    expect_ass_snapshot(random, random_golden);
+  }
 }
 
 }  // namespace
