@@ -26,6 +26,10 @@ REINTERPRET_CAST_FILES = {"src/nn/serialize.hpp", "src/tensor/simd.cpp"}
 # force any path and replay stays pinned to one instruction set.
 INTRINSICS_PREFIX = "src/tensor/simd"
 
+# Kernel modules: they run on their calling thread and never touch the
+# thread pool; only task fan-outs (core, world, ...) use util/parallel.hpp.
+KERNEL_PREFIXES = ("src/tensor/", "src/nn/", "src/cluster/")
+
 # Trace-affecting code where iteration order must be deterministic.
 ORDERED_ITERATION_PREFIXES = ("src/core/", "src/device/", "src/util/fault.")
 
@@ -186,6 +190,22 @@ def rule_no_raw_thread(ctx: FileContext):
             yield Finding(ctx.rel, t.line, "no-raw-thread",
                           "raw std::thread/std::async banned; use the "
                           "deterministic pool in util/parallel.hpp")
+
+
+def rule_no_pool_in_kernels(ctx: FileContext):
+    """util/parallel.hpp is banned in the kernel modules (tensor, nn,
+    cluster). At this codebase's per-frame shapes waking the pool costs
+    more than the kernel, and the parallelism that pays is over whole
+    tasks, so a kernel that fans out would only add latency and a second
+    place where thread count could leak into results."""
+    if not ctx.rel.startswith(KERNEL_PREFIXES):
+        return
+    for inc in ctx.includes:
+        if inc.path == "util/parallel.hpp":
+            yield Finding(
+                ctx.rel, inc.line, "no-pool-in-kernels",
+                "kernels run on their calling thread; fan out over tasks "
+                "in the caller instead of including util/parallel.hpp")
 
 
 def rule_no_throw_omi_hot_path(ctx: FileContext):
@@ -545,6 +565,7 @@ ALL_FILE_RULES = [
     ("own-header-first", rule_own_header_first),
     ("no-cout", rule_no_cout),
     ("no-raw-thread", rule_no_raw_thread),
+    ("no-pool-in-kernels", rule_no_pool_in_kernels),
     ("no-throw-omi-hot-path", rule_no_throw_omi_hot_path),
     ("no-reinterpret-cast", rule_no_reinterpret_cast),
     ("no-naked-intrinsics", rule_no_naked_intrinsics),
@@ -566,6 +587,8 @@ RULE_DOCS = {
     "own-header-first": "src .cpp files include their own header first",
     "no-cout": "std::cout banned outside examples/ and bench/",
     "no-raw-thread": "raw threads banned; use the deterministic pool",
+    "no-pool-in-kernels":
+        "tensor/nn/cluster kernels never include util/parallel.hpp",
     "no-throw-omi-hot-path": "no literal throw in the OMI hot path",
     "no-reinterpret-cast": "reinterpret_cast only in sanctioned homes",
     "no-naked-intrinsics":

@@ -107,6 +107,12 @@ class TestPortedRules(unittest.TestCase):
         got = findings_for("no-raw-thread")
         self.assertEqual(got, {"src/core/ported_rules.cpp": [25, 27]})
 
+    def test_no_pool_in_kernels(self):
+        got = findings_for("no-pool-in-kernels")
+        self.assertEqual(got, {"src/cluster/bad_pool.cpp": [3]})
+        # core fans out over tasks; the same include there never fires.
+        self.assertNotIn("src/core/ok_pool.cpp", got)
+
     def test_no_reinterpret_cast(self):
         got = findings_for("no-reinterpret-cast")
         self.assertEqual(got, {"src/core/ported_rules.cpp": [33]})

@@ -6,17 +6,13 @@
 
 #include "tensor/simd.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace anole::cluster {
 namespace {
 
-/// Floor for points per parallel chunk in the O(n*k*d) scans. The actual
-/// grain is derived from the per-point work via par::work_grain, so small
-/// problems produce few, coarse chunks instead of waking the pool for
-/// microseconds of work. Fixed (thread-count independent) so chunked
-/// reductions stay deterministic.
-constexpr std::size_t kPointGrain = 64;
+/// The inertia adds one partial per fixed 64-point block, in ascending
+/// block order: the blocking is part of the numeric result.
+constexpr std::size_t kInertiaBlock = 64;
 
 }  // namespace
 
@@ -66,19 +62,16 @@ KMeansResult kmeans(const Tensor& points, const KMeansConfig& config,
   result.centroids = Tensor::matrix(k, d);
 
   // --- k-means++ seeding ---
-  // The distance scans fan out over points (disjoint writes); the random
-  // draws stay on the calling thread, so the seeding sequence is
-  // independent of the thread count.
   std::vector<double> min_distance(n, std::numeric_limits<double>::max());
   std::size_t first = rng.uniform_index(n);
   std::copy(points.row(first).begin(), points.row(first).end(),
             result.centroids.row(0).begin());
   for (std::size_t c = 1; c < k; ++c) {
-    par::parallel_for(0, n, kPointGrain, d, [&](std::size_t i) {
+    for (std::size_t i = 0; i < n; ++i) {
       const double dist =
           squared_distance(points.row(i), result.centroids.row(c - 1));
       min_distance[i] = std::min(min_distance[i], dist);
-    });
+    }
     double total = 0.0;
     for (double v : min_distance) total += v;
     std::size_t chosen;
@@ -99,14 +92,15 @@ KMeansResult kmeans(const Tensor& points, const KMeansConfig& config,
   // map to centroids. Every dispatch level accumulates each lane in
   // ascending dimension order with separate mul+add — bitwise identical
   // to squared_distance — so assignments (and therefore the whole
-  // clustering) are independent of the SIMD level and thread count.
+  // clustering) are independent of the SIMD level.
   const simd::Level level = simd::active_level();
   const std::size_t k_stride =
       (k + simd::kKmeansLaneMultiple - 1) / simd::kKmeansLaneMultiple *
       simd::kKmeansLaneMultiple;
   std::vector<double> centroids_t(d * k_stride, 0.0);
-  const std::size_t work_per_point = k * d;
-  const std::size_t point_grain = par::work_grain(kPointGrain, work_per_point);
+  // Padding lanes (c >= k) compute distances to the zero vector; the
+  // argmin below never reads them.
+  std::vector<double> lane_dist(k_stride);
   for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
     for (std::size_t c = 0; c < k; ++c) {
       const auto row = result.centroids.row(c);
@@ -114,33 +108,23 @@ KMeansResult kmeans(const Tensor& points, const KMeansConfig& config,
         centroids_t[dim * k_stride + c] = static_cast<double>(row[dim]);
       }
     }
-    const std::size_t changes = par::parallel_reduce(
-        std::size_t{0}, n, point_grain, work_per_point, std::size_t{0},
-        [&](std::size_t lo, std::size_t hi) {
-          // Padding lanes (c >= k) compute distances to the zero vector;
-          // the argmin below never reads them.
-          std::vector<double> dist(k_stride);
-          std::size_t chunk_changes = 0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            simd::kmeans_distances(level, points.row(i).data(), d,
-                                   centroids_t.data(), k_stride, dist.data());
-            std::size_t nearest = 0;
-            double best = dist[0];
-            for (std::size_t c = 1; c < k; ++c) {
-              if (dist[c] < best) {
-                best = dist[c];
-                nearest = c;
-              }
-            }
-            if (nearest != result.assignments[i]) {
-              result.assignments[i] = nearest;
-              ++chunk_changes;
-            }
-          }
-          return chunk_changes;
-        },
-        [](std::size_t acc, std::size_t partial) { return acc + partial; });
-    bool changed = changes > 0;
+    bool changed = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      simd::kmeans_distances(level, points.row(i).data(), d,
+                             centroids_t.data(), k_stride, lane_dist.data());
+      std::size_t nearest = 0;
+      double best = lane_dist[0];
+      for (std::size_t c = 1; c < k; ++c) {
+        if (lane_dist[c] < best) {
+          best = lane_dist[c];
+          nearest = c;
+        }
+      }
+      if (nearest != result.assignments[i]) {
+        result.assignments[i] = nearest;
+        changed = true;
+      }
+    }
     result.iterations = iter + 1;
 
     // Recompute centroids; empty clusters grab the point furthest from
@@ -181,17 +165,16 @@ KMeansResult kmeans(const Tensor& points, const KMeansConfig& config,
     if (config.early_stop && !changed) break;
   }
 
-  result.inertia = par::parallel_reduce(
-      std::size_t{0}, n, kPointGrain, d, 0.0,
-      [&](std::size_t lo, std::size_t hi) {
-        double partial = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          partial += squared_distance(
-              points.row(i), result.centroids.row(result.assignments[i]));
-        }
-        return partial;
-      },
-      [](double acc, double partial) { return acc + partial; });
+  result.inertia = 0.0;
+  for (std::size_t lo = 0; lo < n; lo += kInertiaBlock) {
+    const std::size_t hi = std::min(n, lo + kInertiaBlock);
+    double partial = 0.0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      partial += squared_distance(
+          points.row(i), result.centroids.row(result.assignments[i]));
+    }
+    result.inertia += partial;
+  }
   return result;
 }
 

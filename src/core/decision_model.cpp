@@ -60,8 +60,8 @@ DecisionDataset build_decision_dataset(ModelRepository& repository,
   // Score: test every compressed model on every distinct sampled frame
   // (paper IV-B) in one fan-out through the const Detector::infer path.
   // Each score is a pure function of its (frame, model) pair written to
-  // its own cell, so the result is independent of the thread count. No
-  // work hint: each index is a full network pass, always worth a chunk.
+  // its own cell, so the result is independent of the thread count.
+  // Grain 1: each index is a full network pass.
   std::vector<double> scores(frames.size() * n_models, 0.0);
   par::parallel_for(0, scores.size(), 1, [&](std::size_t i) {
     const world::Frame& frame = *frames[i / n_models];

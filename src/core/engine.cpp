@@ -148,10 +148,8 @@ std::vector<EngineResult> AnoleEngine::process_batch(
   // Detect stage: fan out across frames through the const
   // Detector::infer path (grain 1: one frame is a full network pass).
   // Frames sharing a detector are safe — infer writes no module state —
-  // and nested tensor kernels inside a pool worker run inline with
-  // thread-count-invariant chunking, so each frame's detections are
-  // bitwise identical to the serial path. No work hint: a frame is
-  // always worth a chunk.
+  // and the tensor kernels run on the worker's own thread, so each
+  // frame's detections are bitwise identical to the serial path.
   par::parallel_for(0, frames.size(), 1, [&](std::size_t i) {
     if (planned[i] == kNoDetect) return;
     results[i].detections =

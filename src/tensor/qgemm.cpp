@@ -7,14 +7,10 @@
 
 #include "tensor/simd.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace anole {
 namespace {
 
-/// Rows of the output per parallel chunk (floor; matches the fp32
-/// kernels, and the work-derived grain can only coarsen it).
-constexpr std::size_t kRowGrain = 16;
 /// int32 accumulation of depth * 127 * 127 must not overflow; every
 /// network in this codebase has depth < 100, so this is pure headroom.
 constexpr std::size_t kMaxDepth = std::size_t{1} << 17;
@@ -220,34 +216,24 @@ Tensor qgemm(const Tensor& x, const QuantizedMatrix& weights,
   Tensor y = Tensor::uninitialized(Shape{m, n});
   if (m == 0 || n == 0) return y;
 
-  // One parallel pass: each chunk quantizes its own activation rows into
-  // the padded int16 layout (rows are disjoint, so any thread
-  // decomposition yields identical codes), then runs the dispatched
-  // blocked dot kernel (tensor/simd.cpp) with fused dequant (+ bias) over
-  // them while they are still L1-hot. The int32 accumulation is exact, so
-  // the result is independent of blocking, unrolling, thread count, and
-  // dispatch level by construction.
+  // Quantize every activation row into the padded int16 layout, then run
+  // the dispatched blocked dot kernel (tensor/simd.cpp) with fused dequant
+  // (+ bias) over all of them. The int32 accumulation is exact, so the
+  // result is independent of blocking, unrolling and dispatch level by
+  // construction.
   // for_overwrite: every slot (including depth padding) is written by
   // simd::quantize_row_int16 before the kernel reads it, so value-
   // initializing ~m*kp*2 bytes here would be pure memset overhead.
   const auto xq = std::make_unique_for_overwrite<std::int16_t[]>(m * kp);
   const auto xscale = std::make_unique_for_overwrite<float[]>(m);
   const simd::Level level = simd::active_level();
-  const std::size_t work_per_row = kp * n;
-  par::parallel_for_chunks(
-      0, m, par::work_grain(kRowGrain, work_per_row), work_per_row,
-      [&](std::size_t ilo, std::size_t ihi) {
-        std::int16_t* const qbase = xq.get();
-        float* const sbase = xscale.get();
-        for (std::size_t i = ilo; i < ihi; ++i) {
-          sbase[i] =
-              simd::quantize_row_int16(level, x.row(i), qbase + i * kp, kp);
-        }
-        simd::qgemm_rows(level, ilo, ihi, n, kp, qbase, sbase,
-                         weights.exec.data(), weights.scales.data(),
-                         bias.empty() ? nullptr : bias.data(),
-                         y.data().data());
-      });
+  for (std::size_t i = 0; i < m; ++i) {
+    xscale[i] = simd::quantize_row_int16(level, x.row(i), xq.get() + i * kp,
+                                         kp);
+  }
+  simd::qgemm_rows(level, 0, m, n, kp, xq.get(), xscale.get(),
+                   weights.exec.data(), weights.scales.data(),
+                   bias.empty() ? nullptr : bias.data(), y.data().data());
   return y;
 }
 

@@ -84,8 +84,8 @@ float quantize_row_int8(std::span<const float> src,
 /// y = x W (+ bias): x is [m, depth] fp32 (rows are quantized on the fly),
 /// W is the per-channel quantized matrix, y is [m, channels] fp32 with the
 /// dequantization (and the optional [channels] bias add) fused into the
-/// kernel. Cache-blocked over output channels and parallelized over rows
-/// of x via util/parallel.hpp; bitwise deterministic at any thread count.
+/// kernel. Cache-blocked over output channels; runs on the calling thread
+/// and is bitwise identical at every dispatch level.
 Tensor qgemm(const Tensor& x, const QuantizedMatrix& weights,
              std::span<const float> bias = {});
 

@@ -6,7 +6,6 @@
 
 #include "tensor/simd.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace anole {
 namespace {
@@ -25,44 +24,26 @@ void require_same_shape(const Tensor& a, const Tensor& b,
               shape_to_string(b.shape()));
 }
 
-/// Rows of C per parallel chunk (floor; the work-derived grain can only
-/// coarsen it).
-constexpr std::size_t kRowGrain = 16;
-/// Elementwise ops: parallel grain (the serial cutoff in util/parallel
-/// keeps small tensors off the pool).
-constexpr std::size_t kElemGrain = 16384;
-/// Whole-tensor reductions always use this fixed grain — the chunked
-/// combine order is part of the numeric result, so it must not depend on
-/// tensor size heuristics or the thread count.
-constexpr std::size_t kReduceGrain = 4096;
+/// Whole-tensor sums add one partial per fixed 4096-element block, in
+/// ascending block order: the blocking is part of the numeric result.
+constexpr std::size_t kReduceBlock = 4096;
 
-template <typename Fn>
-void for_each_index(std::size_t n, Fn&& fn) {
-  par::parallel_for(0, n, kElemGrain, 1, std::forward<Fn>(fn));
-}
-
-// The shared row-parallel GEMM driver behind all three matmul entry
-// points: C = A' B with A' read as pa[i*ars + kk*acs] (contiguous for
-// matmul, stride-m for matmul_transpose_a; matmul_transpose_b materializes
-// B^T once and then uses the contiguous strides). The cache-blocked inner
-// kernel lives in tensor/simd.cpp and is dispatched once per call; each C
-// row is produced entirely by one chunk with kk ascending, so blocking
-// and row-parallelism never change results at a fixed dispatch level.
+// The shared GEMM driver behind all three matmul entry points: C = A' B
+// with A' read as pa[i*ars + kk*acs] (contiguous for matmul, stride-m for
+// matmul_transpose_a; matmul_transpose_b materializes B^T once and then
+// uses the contiguous strides). The cache-blocked kernel lives in
+// tensor/simd.cpp and is dispatched once per call; it produces each C row
+// with kk ascending, so its blocking never changes results at a fixed
+// dispatch level.
 void dispatched_gemm(std::size_t m, std::size_t k, std::size_t n,
                      const float* pa, std::size_t ars, std::size_t acs,
                      const float* pb, float* pc) {
-  const simd::Level level = simd::active_level();
-  const std::size_t work_per_row = k * n;
-  par::parallel_for_chunks(
-      0, m, par::work_grain(kRowGrain, work_per_row), work_per_row,
-      [&](std::size_t ilo, std::size_t ihi) {
-        if (k == 0) {
-          // The kernel's depth loop never runs, so zero-fill here.
-          std::fill(pc + ilo * n, pc + ihi * n, 0.0f);
-          return;
-        }
-        simd::gemm_rows(level, ilo, ihi, k, n, pa, ars, acs, pb, pc);
-      });
+  if (k == 0) {
+    // The kernel's depth loop never runs, so zero-fill here.
+    std::fill(pc, pc + m * n, 0.0f);
+    return;
+  }
+  simd::gemm_rows(simd::active_level(), 0, m, k, n, pa, ars, acs, pb, pc);
 }
 
 }  // namespace
@@ -161,51 +142,48 @@ Tensor Tensor::reshaped(Shape new_shape) const {
 }
 
 void Tensor::fill(float value) {
-  for_each_index(data_.size(), [&](std::size_t i) { data_[i] = value; });
+  std::fill(data_.begin(), data_.end(), value);
 }
 
 Tensor& Tensor::operator+=(const Tensor& other) {
   require_same_shape(*this, other, "operator+=");
-  for_each_index(data_.size(),
-                 [&](std::size_t i) { data_[i] += other.data_[i]; });
+  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
   return *this;
 }
 
 Tensor& Tensor::operator-=(const Tensor& other) {
   require_same_shape(*this, other, "operator-=");
-  for_each_index(data_.size(),
-                 [&](std::size_t i) { data_[i] -= other.data_[i]; });
+  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
   return *this;
 }
 
 Tensor& Tensor::operator*=(const Tensor& other) {
   require_same_shape(*this, other, "operator*=");
-  for_each_index(data_.size(),
-                 [&](std::size_t i) { data_[i] *= other.data_[i]; });
+  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
   return *this;
 }
 
 Tensor& Tensor::operator*=(float scalar) {
-  for_each_index(data_.size(), [&](std::size_t i) { data_[i] *= scalar; });
+  for (float& v : data_) v *= scalar;
   return *this;
 }
 
 void Tensor::add_scaled(const Tensor& other, float scale) {
   require_same_shape(*this, other, "add_scaled");
-  for_each_index(data_.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < data_.size(); ++i) {
     data_[i] += scale * other.data_[i];
-  });
+  }
 }
 
 float Tensor::sum() const {
-  return par::parallel_reduce(
-      std::size_t{0}, data_.size(), kReduceGrain, 1, 0.0f,
-      [&](std::size_t lo, std::size_t hi) {
-        float partial = 0.0f;
-        for (std::size_t i = lo; i < hi; ++i) partial += data_[i];
-        return partial;
-      },
-      [](float acc, float partial) { return acc + partial; });
+  float total = 0.0f;
+  for (std::size_t lo = 0; lo < data_.size(); lo += kReduceBlock) {
+    const std::size_t hi = std::min(data_.size(), lo + kReduceBlock);
+    float partial = 0.0f;
+    for (std::size_t i = lo; i < hi; ++i) partial += data_[i];
+    total += partial;
+  }
+  return total;
 }
 
 float Tensor::mean() const {
@@ -214,29 +192,22 @@ float Tensor::mean() const {
 }
 
 float Tensor::abs_max() const {
-  return par::parallel_reduce(
-      std::size_t{0}, data_.size(), kReduceGrain, 1, 0.0f,
-      [&](std::size_t lo, std::size_t hi) {
-        float partial = 0.0f;
-        for (std::size_t i = lo; i < hi; ++i) {
-          partial = std::max(partial, std::abs(data_[i]));
-        }
-        return partial;
-      },
-      [](float acc, float partial) { return std::max(acc, partial); });
+  // A max is exact in any order, so it needs no blocking.
+  float result = 0.0f;
+  for (float v : data_) result = std::max(result, std::abs(v));
+  return result;
 }
 
 float Tensor::l2_norm() const {
-  const double sum_sq = par::parallel_reduce(
-      std::size_t{0}, data_.size(), kReduceGrain, 1, 0.0,
-      [&](std::size_t lo, std::size_t hi) {
-        double partial = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          partial += static_cast<double>(data_[i]) * data_[i];
-        }
-        return partial;
-      },
-      [](double acc, double partial) { return acc + partial; });
+  double sum_sq = 0.0;
+  for (std::size_t lo = 0; lo < data_.size(); lo += kReduceBlock) {
+    const std::size_t hi = std::min(data_.size(), lo + kReduceBlock);
+    double partial = 0.0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      partial += static_cast<double>(data_[i]) * data_[i];
+    }
+    sum_sq += partial;
+  }
   return static_cast<float>(std::sqrt(sum_sq));
 }
 
@@ -331,18 +302,14 @@ void add_row_broadcast(Tensor& matrix, const Tensor& row_vector) {
               "add_row_broadcast: bias shape mismatch ",
               shape_to_string(row_vector.shape()), " for matrix ",
               shape_to_string(matrix.shape()));
-  par::parallel_for(0, matrix.rows(), kRowGrain, matrix.cols(),
-                    [&](std::size_t r) {
+  for (std::size_t r = 0; r < matrix.rows(); ++r) {
     auto row = matrix.row(r);
     for (std::size_t c = 0; c < row.size(); ++c) row[c] += row_vector[c];
-  });
+  }
 }
 
 Tensor sum_rows(const Tensor& matrix) {
   ANOLE_CHECK_EQ(matrix.rank(), 2u, "sum_rows: rank != 2");
-  // Serial on purpose: accumulates across rows into a [cols] vector whose
-  // width is small everywhere in this codebase, so a parallel version
-  // would spend more on partial buffers than the scan costs.
   Tensor out(Shape{matrix.cols()});
   for (std::size_t r = 0; r < matrix.rows(); ++r) {
     auto row = matrix.row(r);
@@ -354,12 +321,11 @@ Tensor sum_rows(const Tensor& matrix) {
 Tensor transpose(const Tensor& matrix) {
   ANOLE_CHECK_EQ(matrix.rank(), 2u, "transpose: rank != 2");
   Tensor out = Tensor::uninitialized(Shape{matrix.cols(), matrix.rows()});
-  par::parallel_for(0, matrix.rows(), kRowGrain, matrix.cols(),
-                    [&](std::size_t r) {
+  for (std::size_t r = 0; r < matrix.rows(); ++r) {
     for (std::size_t c = 0; c < matrix.cols(); ++c) {
       out.at(c, r) = matrix.at(r, c);
     }
-  });
+  }
   return out;
 }
 

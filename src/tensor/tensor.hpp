@@ -3,11 +3,9 @@
 // training stack needs (matmul, transposed matmuls, elementwise arithmetic,
 // row reductions) with shape checking on every operation.
 //
-// Threading: the matmul kernels, large elementwise operations, and whole-
-// tensor reductions run on the shared util/parallel.hpp pool. All of them
-// honour its determinism contract (fixed chunk boundaries, ordered
-// combines), so every operation here is bitwise reproducible at any thread
-// count.
+// Threading: every operation runs on its calling thread (kernels never
+// use the util/parallel.hpp pool; callers fan out over whole tasks), so
+// each is bitwise reproducible at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -140,7 +138,8 @@ class Tensor {
   /// this += scale * other (axpy).
   void add_scaled(const Tensor& other, float scale);
 
-  /// Sum of all elements (deterministically chunked; see util/parallel.hpp).
+  /// Sum of all elements: one float partial per 4096-element block, added
+  /// in ascending block order.
   float sum() const;
 
   /// Mean of all elements (0 if empty).
@@ -149,7 +148,8 @@ class Tensor {
   /// Largest absolute element (0 if empty).
   float abs_max() const;
 
-  /// L2 norm of all elements.
+  /// L2 norm of all elements: squares summed in double over the same
+  /// 4096-element blocks as sum().
   float l2_norm() const;
 
   /// Row r of a rank-2 tensor as a span.

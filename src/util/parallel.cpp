@@ -14,35 +14,29 @@ namespace anole::par {
 namespace {
 
 /// True while this thread is executing a task chunk (worker or caller).
-/// Nested parallel_* calls observe it and run inline.
+/// Nested parallel_for calls observe it and run inline.
 thread_local bool t_in_task = false;
 
+/// Largest accepted ANOLE_THREADS: far above any host this runs on, and
+/// low enough that a typo cannot ask the OS for millions of threads.
+constexpr std::size_t kMaxThreads = 1024;
+
 std::size_t env_or_hardware_threads() {
-  if (const char* env = std::getenv("ANOLE_THREADS")) {
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && value >= 1) {
-      return static_cast<std::size_t>(value);
-    }
+  const char* env = std::getenv("ANOLE_THREADS");
+  if (env == nullptr || *env == '\0') {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<std::size_t>(hw);
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-/// Default serial cutoff: ~128k scalar ops. Pool wake/steal costs a few
-/// microseconds; a loop this size finishes in roughly that time on one
-/// core, so below it the pool can only lose.
-constexpr std::size_t kDefaultSerialCutoff = std::size_t{1} << 17;
-
-std::size_t env_serial_cutoff() {
-  if (const char* env = std::getenv("ANOLE_SERIAL_CUTOFF")) {
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0') {
-      return static_cast<std::size_t>(value);
-    }
+  // Digits only: strtoul would wrap "-1" to 2^64 - 1 and accept " 4".
+  std::size_t value = 0;
+  const char* p = env;
+  for (; *p >= '0' && *p <= '9' && value <= kMaxThreads; ++p) {
+    value = value * 10 + static_cast<std::size_t>(*p - '0');
   }
-  return kDefaultSerialCutoff;
+  ANOLE_CHECK(*p == '\0' && value >= 1 && value <= kMaxThreads,
+              "ANOLE_THREADS: expected an integer in [1, ", kMaxThreads,
+              "], got '", env, "'");
+  return value;
 }
 
 /// State of one run_chunks invocation. Heap-allocated and shared with the
@@ -213,11 +207,6 @@ void set_thread_count(std::size_t count) {
 }
 
 bool in_parallel_region() { return t_in_task; }
-
-std::size_t serial_cutoff() {
-  static const std::size_t cutoff = env_serial_cutoff();
-  return cutoff;
-}
 
 namespace detail {
 

@@ -59,13 +59,10 @@ Tensor FrameFeaturizer::featurize(const Frame& frame) const {
 Tensor FrameFeaturizer::featurize_batch(
     const std::vector<const Frame*>& frames) const {
   Tensor out = Tensor::uninitialized(Shape{frames.size(), feature_count()});
-  if (frames.empty()) return out;
-  // Disjoint output rows: safe and deterministic at any thread count.
-  // The work hint (one descriptor scans every cell channel once) keeps
-  // small batches inline instead of waking the pool.
-  const std::size_t work_per_frame =
-      frames.front()->cell_count() * kCellChannels;
-  par::parallel_for(0, frames.size(), 8, work_per_frame, [&](std::size_t i) {
+  // A task fan-out over frames: disjoint output rows, so safe and
+  // deterministic at any thread count. Eight frames per chunk keep a
+  // chunk well above the cost of waking a worker.
+  par::parallel_for(0, frames.size(), 8, [&](std::size_t i) {
     write_descriptor(*frames[i], out.row(i));
   });
   return out;

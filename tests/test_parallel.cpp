@@ -1,10 +1,10 @@
-// Tests of the deterministic parallel execution layer: the primitives
-// themselves (parallel_for / parallel_reduce semantics), and the
-// determinism contract end to end — matmul kernels, k-means, the full
-// offline profiler, and the batch engine path must produce bitwise
-// identical results at 1 and 4 threads, Algorithm 1's candidate queue
-// must accept what the ordered k-sweep accepts at 1 to 4 threads, and ASS
-// must label what its per-round loop labelled at 1, 2 and 4 threads.
+// Tests of the deterministic parallel execution layer: parallel_for
+// itself, and the determinism contract end to end — matmul kernels,
+// k-means, the full offline profiler, and the batch engine path must
+// produce bitwise identical results at 1 and 4 threads, Algorithm 1's
+// candidate queue must accept what the ordered k-sweep accepts at 1 to 4
+// threads, and ASS must label what its per-round loop labelled at 1, 2
+// and 4 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,16 +12,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
-#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include <thread>
 
 #include "cluster/kmeans.hpp"
 #include "core/decision_model.hpp"
@@ -166,55 +162,12 @@ TEST(ParallelFor, PropagatesExceptionsAndStaysUsable) {
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 50);
 }
 
-TEST(ParallelFor, ChunkBoundariesMatchGrain) {
-  ThreadCountGuard guard;
-  par::set_thread_count(4);
-  std::mutex mu;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  par::parallel_for_chunks(3, 25, 10, [&](std::size_t lo, std::size_t hi) {
-    std::lock_guard<std::mutex> lock(mu);
-    chunks.emplace_back(lo, hi);
-  });
-  std::sort(chunks.begin(), chunks.end());
-  ASSERT_EQ(chunks.size(), 3u);
-  EXPECT_EQ(chunks[0], (std::pair<std::size_t, std::size_t>{3, 13}));
-  EXPECT_EQ(chunks[1], (std::pair<std::size_t, std::size_t>{13, 23}));
-  EXPECT_EQ(chunks[2], (std::pair<std::size_t, std::size_t>{23, 25}));
-}
-
-TEST(ParallelReduce, BitwiseIdenticalAcrossThreadCounts) {
-  ThreadCountGuard guard;
-  Rng rng(42);
-  std::vector<float> values(100'000);
-  for (float& v : values) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-
-  const auto chunked_sum = [&]() {
-    return par::parallel_reduce(
-        std::size_t{0}, values.size(), std::size_t{4096}, 0.0f,
-        [&](std::size_t lo, std::size_t hi) {
-          float partial = 0.0f;
-          for (std::size_t i = lo; i < hi; ++i) partial += values[i];
-          return partial;
-        },
-        [](float acc, float partial) { return acc + partial; });
-  };
-
-  par::set_thread_count(1);
-  const float serial = chunked_sum();
-  par::set_thread_count(4);
-  const float parallel = chunked_sum();
-  // Bitwise, not approximate: the combine order is fixed by the chunking.
-  EXPECT_EQ(std::memcmp(&serial, &parallel, sizeof(float)), 0);
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
-  ThreadCountGuard guard;
-  par::set_thread_count(4);
-  const int result = par::parallel_reduce(
-      std::size_t{10}, std::size_t{10}, std::size_t{1}, -5,
-      [](std::size_t, std::size_t) { return 1; },
-      [](int acc, int partial) { return acc + partial; });
-  EXPECT_EQ(result, -5);
+/// The default pool size (ANOLE_THREADS, else hardware concurrency) is
+/// at least one thread. No guard: the size is only read, and an invalid
+/// ANOLE_THREADS must surface as this test's exception rather than from a
+/// destructor.
+TEST(ThreadCount, DefaultIsAtLeastOne) {
+  EXPECT_GE(par::thread_count(), 1u);
 }
 
 TEST(ThreadCount, SetAndRestore) {
@@ -243,7 +196,7 @@ TEST(TensorUninitialized, HasShapeAndAcceptsWrites) {
 TEST(TensorParallel, MatmulMatchesNaiveBitwiseAtAnyThreadCount) {
   ThreadCountGuard guard;
   Rng rng(7);
-  // Odd sizes so the j/k blocks and the row grain all have ragged tails.
+  // Odd sizes so the j/k blocks and the row groups all have ragged tails.
   const Tensor a = random_matrix(37, 111, rng);
   const Tensor b = random_matrix(111, 70, rng);
   const Tensor reference = naive_matmul(a, b);
@@ -484,81 +437,6 @@ TEST(SimdDispatch, SigmoidTermsSupportInPlace) {
         0)
         << simd::level_name(level);
   }
-}
-
-// --- serial cutoff --------------------------------------------------------
-
-TEST(SerialCutoff, BoundarySemanticsAreExact) {
-  const std::size_t cutoff = par::serial_cutoff();
-  ASSERT_GT(cutoff, 1u);
-  // Strictly-below comparison: n * wpi == cutoff stays parallel.
-  EXPECT_TRUE(par::detail::below_serial_cutoff(cutoff - 1, 1));
-  EXPECT_FALSE(par::detail::below_serial_cutoff(cutoff, 1));
-  EXPECT_FALSE(par::detail::below_serial_cutoff(1, cutoff));
-  EXPECT_TRUE(par::detail::below_serial_cutoff(1, cutoff - 1));
-  // Zero-length ranges are trivially below; zero hints count as 1 op.
-  EXPECT_TRUE(par::detail::below_serial_cutoff(0, 0));
-  EXPECT_EQ(par::detail::below_serial_cutoff(cutoff - 1, 0),
-            par::detail::below_serial_cutoff(cutoff - 1, 1));
-  // Products that would overflow size_t must land on the parallel side.
-  EXPECT_FALSE(par::detail::below_serial_cutoff(
-      std::numeric_limits<std::size_t>::max() / 2, 3));
-  // The sentinel used by unhinted overloads is never below the cutoff.
-  EXPECT_FALSE(par::detail::below_serial_cutoff(1, par::detail::kNoWorkHint));
-}
-
-TEST(SerialCutoff, WorkGrainDerivesFromPerIndexCost) {
-  const std::size_t cutoff = par::serial_cutoff();
-  EXPECT_EQ(par::work_grain(16, 1), std::max<std::size_t>(16, cutoff));
-  EXPECT_EQ(par::work_grain(16, cutoff), 16u);
-  EXPECT_EQ(par::work_grain(16, 0), par::work_grain(16, 1));
-  EXPECT_GE(par::work_grain(1, cutoff / 8), 8u);
-}
-
-TEST(SerialCutoff, HintedLoopBelowCutoffRunsOnCallingThread) {
-  ThreadCountGuard guard;
-  par::set_thread_count(4);
-  const auto caller = std::this_thread::get_id();
-  const std::size_t n = 64;
-  ASSERT_TRUE(par::detail::below_serial_cutoff(n, 1));
-  std::vector<std::remove_const_t<decltype(caller)>> ran_on(n);
-  par::parallel_for(0, n, 4, 1, [&](std::size_t i) {
-    ran_on[i] = std::this_thread::get_id();
-  });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(ran_on[i], caller) << i;
-}
-
-TEST(SerialCutoff, HintedAndUnhintedChunkingMatchBitwise) {
-  ThreadCountGuard guard;
-  par::set_thread_count(4);
-  Rng rng(33);
-  std::vector<float> values(5000);
-  for (float& v : values) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  const auto sum_with_hint = [&](std::size_t work_per_index) {
-    return par::parallel_reduce(
-        std::size_t{0}, values.size(), std::size_t{256}, work_per_index,
-        0.0f,
-        [&](std::size_t lo, std::size_t hi) {
-          float partial = 0.0f;
-          for (std::size_t i = lo; i < hi; ++i) partial += values[i];
-          return partial;
-        },
-        [](float acc, float partial) { return acc + partial; });
-  };
-  // 5000 * 1 ops is below the cutoff (inline), 5000 * big is above
-  // (pool); the chunking is identical, so the sums are bitwise equal.
-  const float inline_sum = sum_with_hint(1);
-  const float pooled_sum = sum_with_hint(par::serial_cutoff());
-  const float unhinted_sum = par::parallel_reduce(
-      std::size_t{0}, values.size(), std::size_t{256}, 0.0f,
-      [&](std::size_t lo, std::size_t hi) {
-        float partial = 0.0f;
-        for (std::size_t i = lo; i < hi; ++i) partial += values[i];
-        return partial;
-      },
-      [](float acc, float partial) { return acc + partial; });
-  EXPECT_EQ(std::memcmp(&inline_sum, &pooled_sum, sizeof(float)), 0);
-  EXPECT_EQ(std::memcmp(&inline_sum, &unhinted_sum, sizeof(float)), 0);
 }
 
 // --- Full-pipeline determinism -------------------------------------------
