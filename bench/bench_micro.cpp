@@ -2,10 +2,11 @@
 //
 // Default mode runs a deterministic timing suite over the parallel +
 // SIMD execution layers — matmul GFLOP/s, int8 qgemm vs fp32 matmul at
-// a detector layer shape, k-means wall time, OSP end-to-end wall time,
-// and engine batch throughput. Everything is timed against a pinned
-// scalar 1-thread reference (the headline "speedup" is active dispatch
-// level at 4 pool threads vs that reference). Kernels run on their
+// a detector layer shape (with the int8 call split into its quantize and
+// dot stages), per-frame featurization, k-means wall time, OSP
+// end-to-end wall time, and engine batch throughput. Everything is timed
+// against a pinned scalar 1-thread reference (the headline "speedup" is
+// active dispatch level at 4 pool threads vs that reference). Kernels run on their
 // calling thread, so only OSP and the engine batch, the task fan-outs,
 // report 1/2/4 pool-thread "thread_scaling" sections. The suite verifies
 // bitwise thread-count invariance everywhere, plus bitwise *level*
@@ -242,12 +243,29 @@ MatmulSample time_matmul(std::size_t n, int reps) {
   return sample;
 }
 
-/// fp32 matmul vs int8 qgemm microseconds per call at one layer shape
-/// (best of `reps` timed batches of `iters` calls), plus the int8 product
-/// for cross-thread-count bitwise comparison.
+/// Best-of-`reps` host microseconds per call of `fn`, each rep timing a
+/// batch of `iters` calls.
+template <typename Fn>
+double best_us_per_call(int reps, int iters, Fn&& fn) {
+  double best = 1e30;
+  for (int r = 0; r < reps; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < iters; ++i) fn();
+    best = std::min(best, seconds_since(start));
+  }
+  return best / iters * 1e6;
+}
+
+/// fp32 matmul vs int8 qgemm microseconds per call at one layer shape,
+/// the int8 call split into its two stages at the current dispatch level
+/// (quantizing the activation rows, then the int8 dot with fused
+/// dequant), plus the int8 product for cross-thread-count bitwise
+/// comparison.
 struct GemmSample {
   double fp32_us = 0.0;
   double int8_us = 0.0;
+  double quantize_us = 0.0;
+  double dot_us = 0.0;
   Tensor int8_product;
 };
 
@@ -260,26 +278,45 @@ GemmSample time_qgemm(std::size_t m, std::size_t k, std::size_t n, int reps,
   for (auto& v : w.data()) v = static_cast<float>(rng.normal());
   const QuantizedMatrix q = quantize_weights(w);
   GemmSample sample;
-  double best_fp32 = 1e30;
-  double best_int8 = 1e30;
-  for (int r = 0; r < reps; ++r) {
-    auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) {
-      Tensor c = matmul(x, w);
-      benchmark::DoNotOptimize(c.data().data());
+  sample.fp32_us = best_us_per_call(reps, iters, [&] {
+    Tensor c = matmul(x, w);
+    benchmark::DoNotOptimize(c.data().data());
+  });
+  sample.int8_us = best_us_per_call(reps, iters, [&] {
+    Tensor c = qgemm(x, q);
+    benchmark::DoNotOptimize(c.data().data());
+  });
+  const simd::Level level = simd::active_level();
+  const std::size_t kp = q.padded_depth;
+  std::vector<std::int16_t> xq(m * kp);
+  std::vector<float> xscale(m);
+  std::vector<float> y(m * n);
+  sample.quantize_us = best_us_per_call(reps, iters, [&] {
+    for (std::size_t i = 0; i < m; ++i) {
+      xscale[i] =
+          simd::quantize_row_int16(level, x.row(i), xq.data() + i * kp, kp);
     }
-    best_fp32 = std::min(best_fp32, seconds_since(start));
-    start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) {
-      Tensor c = qgemm(x, q);
-      benchmark::DoNotOptimize(c.data().data());
-    }
-    best_int8 = std::min(best_int8, seconds_since(start));
-  }
-  sample.fp32_us = best_fp32 / iters * 1e6;
-  sample.int8_us = best_int8 / iters * 1e6;
+    benchmark::DoNotOptimize(xq.data());
+  });
+  sample.dot_us = best_us_per_call(reps, iters, [&] {
+    simd::qgemm_rows(level, 0, m, n, kp, xq.data(), xscale.data(),
+                     q.exec.data(), q.scales.data(), nullptr, y.data());
+    benchmark::DoNotOptimize(y.data());
+  });
   sample.int8_product = qgemm(x, q);
   return sample;
+}
+
+/// Host microseconds per FrameFeaturizer::featurize call on one rendered
+/// frame: the per-frame descriptor every served frame pays before
+/// M_decision runs.
+double time_featurize(int reps, int iters) {
+  const world::FrameFeaturizer featurizer;
+  const world::Frame frame = make_frame(4);
+  return best_us_per_call(reps, iters, [&] {
+    Tensor descriptor = featurizer.featurize(frame);
+    benchmark::DoNotOptimize(descriptor.data().data());
+  });
 }
 
 /// Quantize/dequantize pass wall time plus fp32-v2 vs quantized-v3
@@ -505,6 +542,7 @@ int run_json_suite() {
   // The active dispatch level at 1/2/4 pool threads.
   par::set_thread_count(1);
   const KernelSet active_1t = run_kernels(kQgemmM, kQgemmK, kQgemmN);
+  const double featurize_us = time_featurize(5, 2000);
   std::fprintf(stderr, "[bench_micro] OSP end-to-end at 1 thread...\n");
   const OspSample osp_a1 = time_osp();
   par::set_thread_count(2);
@@ -618,11 +656,17 @@ int run_json_suite() {
                scalar_1t.qgemm.int8_us);
   std::fprintf(out, "    \"int8_speedup_vs_fp32\": %.4f,\n",
                active_1t.qgemm.fp32_us / active_1t.qgemm.int8_us);
+  std::fprintf(out, "    \"quantize_us_1t\": %.4f,\n",
+               active_1t.qgemm.quantize_us);
+  std::fprintf(out, "    \"dot_us_1t\": %.4f,\n", active_1t.qgemm.dot_us);
   std::fprintf(out, "    \"speedup\": %.4f,\n", qgemm_speedup);
   std::fprintf(out, "    \"identical_results\": %s,\n",
                qgemm_identical ? "true" : "false");
   std::fprintf(out, "    \"identical_across_levels\": %s\n",
                qgemm_level_identical ? "true" : "false");
+  std::fprintf(out, "  },\n");
+  std::fprintf(out, "  \"featurize\": {\n");
+  std::fprintf(out, "    \"featurize_us_per_frame\": %.4f\n", featurize_us);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"quantize_pass\": {\n");
   std::fprintf(out, "    \"quantize_seconds\": %.6f,\n",

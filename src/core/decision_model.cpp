@@ -143,12 +143,12 @@ nn::TrainResult DecisionModel::train(const DecisionDataset& dataset,
                                    config_.train, rng);
 }
 
-Tensor DecisionModel::suitability(const Tensor& descriptors) {
-  head_->set_training(false);
-  return nn::softmax_rows(head_->forward(encoder_->embed(descriptors)));
+Tensor DecisionModel::suitability(const Tensor& descriptors) const {
+  return nn::softmax_rows(head_->infer(encoder_->embed(descriptors)));
 }
 
-std::vector<std::size_t> DecisionModel::rank(const Tensor& descriptor_row) {
+std::vector<std::size_t> DecisionModel::rank(
+    const Tensor& descriptor_row) const {
   ANOLE_CHECK(descriptor_row.rank() == 2 && descriptor_row.rows() == 1,
               "DecisionModel::rank: expected a single descriptor row, got ",
               shape_to_string(descriptor_row.shape()));

@@ -69,11 +69,12 @@ class DecisionModel {
   /// Trains the head on an ASS dataset (backbone stays frozen).
   nn::TrainResult train(const DecisionDataset& dataset, Rng& rng);
 
-  /// Suitability probabilities for a batch of descriptors: [n, models].
-  Tensor suitability(const Tensor& descriptors);
+  /// Suitability probabilities for a batch of descriptors: [n, models],
+  /// through the const inference path (no caches, no mode toggles).
+  Tensor suitability(const Tensor& descriptors) const;
 
   /// Model indices sorted by descending suitability for one descriptor row.
-  std::vector<std::size_t> rank(const Tensor& descriptor_row);
+  std::vector<std::size_t> rank(const Tensor& descriptor_row) const;
 
   std::size_t model_count() const { return model_count_; }
   const DecisionModelConfig& config() const { return config_; }

@@ -73,9 +73,8 @@ nn::TrainResult SceneEncoder::train(const Tensor& descriptors,
                               val_descriptors, val_labels);
 }
 
-Tensor SceneEncoder::embed(const Tensor& descriptors) {
-  trunk_->set_training(false);
-  return trunk_->forward(descriptors);
+Tensor SceneEncoder::embed(const Tensor& descriptors) const {
+  return trunk_->infer(descriptors);
 }
 
 Tensor SceneEncoder::classify(const Tensor& descriptors) {

@@ -49,8 +49,9 @@ class SceneEncoder : public nn::Module {
                         const Tensor& val_descriptors = Tensor(),
                         std::span<const std::size_t> val_labels = {});
 
-  /// Scene embeddings (trunk activations) for a batch of descriptors.
-  Tensor embed(const Tensor& descriptors);
+  /// Scene embeddings (trunk activations) for a batch of descriptors,
+  /// through the const inference path (no caches, no mode toggles).
+  Tensor embed(const Tensor& descriptors) const;
 
   /// Classifier logits over semantic scene classes.
   Tensor classify(const Tensor& descriptors);

@@ -2,41 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "nn/serialize.hpp"
 #include "util/check.hpp"
+#include "world/featurizer.hpp"
 #include "world/scene_style.hpp"
 
 namespace anole::detect {
 namespace {
 
 /// Context descriptor width: per-channel mean and stddev of the frame.
-constexpr std::size_t kContextFeatures = 2 * world::kCellChannels;
-
-void write_context(const world::Frame& frame, std::span<float> out) {
-  const std::size_t cells = frame.cell_count();
-  const float* cp = frame.cells.data().data();
-  // One row-major sweep instead of a strided column walk per channel;
-  // each channel still accumulates in ascending cell order, so the sums
-  // (and the context features) are bitwise unchanged.
-  double sum[world::kCellChannels] = {};
-  double sum_sq[world::kCellChannels] = {};
-  for (std::size_t i = 0; i < cells; ++i) {
-    const float* cell = cp + i * world::kCellChannels;
-    for (std::size_t c = 0; c < world::kCellChannels; ++c) {
-      const float v = cell[c];
-      sum[c] += v;
-      sum_sq[c] += static_cast<double>(v) * v;
-    }
-  }
-  for (std::size_t c = 0; c < world::kCellChannels; ++c) {
-    const double mean = sum[c] / static_cast<double>(cells);
-    const double var =
-        std::max(0.0, sum_sq[c] / static_cast<double>(cells) - mean * mean);
-    out[c] = static_cast<float>(mean);
-    out[world::kCellChannels + c] = static_cast<float>(std::sqrt(var));
-  }
-}
+constexpr std::size_t kContextFeatures = world::kChannelMoments;
 
 }  // namespace
 
@@ -91,8 +68,8 @@ Tensor GridDetector::build_inputs(const world::Frame& frame) {
   // is written below, so the zero-fill is skipped too.
   const std::size_t features = input_features();
   Tensor inputs = Tensor::uninitialized(Shape{cells, features});
-  std::vector<float> context(kContextFeatures);
-  write_context(frame, context);
+  float context[kContextFeatures];
+  world::write_channel_moments(frame, context);
   float* const ip = inputs.data().data();
   const float* const cp = frame.cells.data().data();
   for (std::size_t y = 0; y < g; ++y) {
@@ -101,7 +78,8 @@ Tensor GridDetector::build_inputs(const world::Frame& frame) {
       float* row = ip + i * features;
       const float* cell = cp + i * world::kCellChannels;
       std::copy(cell, cell + world::kCellChannels, row);
-      std::copy(context.begin(), context.end(), row + world::kCellChannels);
+      std::copy(context, context + kContextFeatures,
+                row + world::kCellChannels);
       row[world::kCellChannels + kContextFeatures] =
           static_cast<float>(x) / static_cast<float>(g);
       row[world::kCellChannels + kContextFeatures + 1] =
@@ -174,11 +152,24 @@ std::vector<Detection> GridDetector::infer(const world::Frame& frame) const {
                  "this detector was built for");
   Tensor inputs = build_inputs(frame);
   Tensor outputs = network_->infer(inputs);
+  // Logit prefilter: the confidence is monotone in the logit, so a cell
+  // whose logit sits more than kLogitMargin below logit(t) has confidence
+  // < t and needs no exp. The margin is ~1e4 times expf's relative error
+  // and outweighs the double rounding of 1 + exp(-logit) while
+  // (1 - t) * kLogitMargin > 2^-52, i.e. 1 - t > 2.5e-13. Closer to 1, and
+  // for t <= 0 or t >= 1, every cell takes the exact test below.
+  constexpr double kLogitMargin = 1e-3;
+  const double t = config_.confidence_threshold;
+  const double logit_cutoff =
+      t > 0.0 && 1.0 - t > 1e-12
+          ? std::log(t / (1.0 - t)) - kLogitMargin
+          : -std::numeric_limits<double>::infinity();
   std::vector<Detection> detections;
   for (std::size_t y = 0; y < g; ++y) {
     for (std::size_t x = 0; x < g; ++x) {
       const std::size_t i = y * g + x;
       auto row = outputs.row(i);
+      if (static_cast<double>(row[0]) < logit_cutoff) continue;
       const double confidence = 1.0 / (1.0 + std::exp(-row[0]));
       if (confidence < config_.confidence_threshold) continue;
       Detection det;

@@ -25,8 +25,13 @@ Tensor Sequential::forward(const Tensor& input) {
 }
 
 Tensor Sequential::infer(const Tensor& input) const {
-  Tensor current = input;
-  for (const auto& module : modules_) current = module->infer(current);
+  // The first module reads `input` directly: no copy of the batch (a
+  // detector's is 144 x 42 floats per frame) before the first layer.
+  if (modules_.empty()) return input;
+  Tensor current = modules_.front()->infer(input);
+  for (std::size_t i = 1; i < modules_.size(); ++i) {
+    current = modules_[i]->infer(current);
+  }
   return current;
 }
 

@@ -22,23 +22,6 @@ std::size_t pad_depth(std::size_t depth) {
          simd::kQgemmDepthMultiple;
 }
 
-/// Symmetric int8 code for `value / scale`: round-to-nearest-even (the
-/// default FP environment, matching what cvtps2dq does in the vector
-/// path), clamped to [-127, 127]. Shared by the weight path, the public
-/// int8 row helper, and the scalar tail of the int16 activation path, so
-/// every quantizer in this file produces identical codes.
-std::int32_t quantize_value(float value, float inv_scale) {
-  const float rounded = std::nearbyint(value * inv_scale);
-  return static_cast<std::int32_t>(std::clamp(rounded, -127.0f, 127.0f));
-}
-
-/// Symmetric scale for a row with the given absolute maximum.
-float row_scale(float abs_max) {
-  float scale = abs_max > 0.0f ? abs_max / 127.0f : 1.0f;
-  if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
-  return scale;
-}
-
 }  // namespace
 
 void QuantizedMatrix::prepare() {
@@ -158,7 +141,7 @@ QuantizedMatrix quantize_weights(const Tensor& weights) {
     std::int8_t* dst = q.data.data() + c * depth;
     for (std::size_t d = 0; d < depth; ++d) {
       dst[d] = static_cast<std::int8_t>(
-          quantize_value(src[d * channels + c], inv_scale));
+          simd::quantize_code(src[d * channels + c], inv_scale));
     }
   }
   q.prepare();
@@ -190,10 +173,11 @@ float quantize_row_int8(std::span<const float> src,
   ANOLE_CHECK_EQ(src.size(), dst.size(), "quantize_row_int8: size mismatch");
   float abs_max = 0.0f;
   for (const float v : src) abs_max = std::max(abs_max, std::abs(v));
-  const float scale = row_scale(abs_max);
+  const float scale = simd::row_scale_for(abs_max);
   const float inv_scale = 1.0f / scale;
   for (std::size_t i = 0; i < src.size(); ++i) {
-    dst[i] = static_cast<std::int8_t>(quantize_value(src[i], inv_scale));
+    dst[i] =
+        static_cast<std::int8_t>(simd::quantize_code(src[i], inv_scale));
   }
   return scale;
 }

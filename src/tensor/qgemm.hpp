@@ -76,8 +76,9 @@ QuantizedMatrix quantize_weights(const Tensor& weights);
 Tensor dequantize_weights(const QuantizedMatrix& quantized);
 
 /// Quantizes one fp32 row to symmetric int8 in place; returns the scale
-/// (max|src| / 127, or 1 when the row is all zero). `dst.size()` must
-/// equal `src.size()`.
+/// (max|src| / 127, or 1 when the row is all zero). NaN elements are left
+/// out of the max and quantize to 0 (simd::quantize_code). `dst.size()`
+/// must equal `src.size()`.
 float quantize_row_int8(std::span<const float> src,
                         std::span<std::int8_t> dst);
 

@@ -47,22 +47,6 @@ constexpr std::size_t kKBlock = 64;
 /// segment stays L1-resident while a chunk's rows stream through it.
 constexpr std::size_t kChannelBlock = 64;
 
-/// Symmetric int8 code for `value / scale`: round-to-nearest-even (the
-/// default FP environment, matching cvtps2dq in the vector paths),
-/// clamped to [-127, 127]. Mirrors the quantizer in qgemm.cpp — both must
-/// emit identical codes so weight and activation quantization agree.
-std::int32_t quantize_code(float value, float inv_scale) {
-  const float rounded = std::nearbyint(value * inv_scale);
-  return static_cast<std::int32_t>(std::clamp(rounded, -127.0f, 127.0f));
-}
-
-/// Symmetric scale for a row with the given absolute maximum.
-float row_scale_for(float abs_max) {
-  float scale = abs_max > 0.0f ? abs_max / 127.0f : 1.0f;
-  if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
-  return scale;
-}
-
 /// --- level resolution -----------------------------------------------
 
 Level probe_cpu() {
@@ -297,6 +281,8 @@ ANOLE_NO_AUTOVEC
 float quantize_row_int16_scalar(std::span<const float> src, std::int16_t* dst,
                                 std::size_t padded) {
   const std::size_t n = src.size();
+  // std::max keeps its first argument when the comparison fails, so a NaN
+  // element adds nothing to the abs-max.
   float abs_max = 0.0f;
   for (std::size_t i = 0; i < n; ++i) {
     abs_max = std::max(abs_max, std::fabs(src[i]));
@@ -311,48 +297,76 @@ float quantize_row_int16_scalar(std::span<const float> src, std::int16_t* dst,
 }
 
 #if ANOLE_HAVE_AVX2_TARGET
+/// Loads the first `t` (0..8) floats at `p`; the other lanes read as 0.
+ANOLE_TARGET_AVX2 inline __m256 load_first(const float* p, std::size_t t) {
+  return _mm256_maskload_ps(
+      p, _mm256_loadu_si256(
+             reinterpret_cast<const __m256i*>(kTailMask + (8 - t))));
+}
+
+/// quantize_code on eight lanes: NaN lanes are zeroed before the clamp
+/// (maxps would otherwise turn them into -127), then cvtps2dq rounds to
+/// nearest even like std::nearbyint.
+ANOLE_TARGET_AVX2 inline __m256i quantize_lanes(__m256 v, __m256 inv_scale) {
+  __m256 scaled = _mm256_mul_ps(v, inv_scale);
+  scaled = _mm256_and_ps(scaled, _mm256_cmp_ps(scaled, scaled, _CMP_ORD_Q));
+  return _mm256_cvtps_epi32(_mm256_min_ps(
+      _mm256_max_ps(scaled, _mm256_set1_ps(-127.0f)), _mm256_set1_ps(127.0f)));
+}
+
+/// Sixteen codes from two eight-lane halves, in order.
+ANOLE_TARGET_AVX2 inline void store_codes(std::int16_t* dst, __m256 lo,
+                                          __m256 hi, __m256 inv_scale) {
+  // packs works within 128-bit lanes; the permute restores order.
+  const __m256i packed = _mm256_permute4x64_epi64(
+      _mm256_packs_epi32(quantize_lanes(lo, inv_scale),
+                         quantize_lanes(hi, inv_scale)),
+      0xD8);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), packed);
+}
+
 ANOLE_TARGET_AVX2
 float quantize_row_int16_avx2(std::span<const float> src, std::int16_t* dst,
                               std::size_t padded) {
   const std::size_t n = src.size();
+  const float* p = src.data();
   const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+  // maxps returns its second operand when either is NaN, so with the
+  // accumulator second a NaN element leaves the max untouched, as in the
+  // scalar loop. Full chunks load unmasked; the final partial chunk loads
+  // once through a lane mask, its inactive lanes reading as 0.
   __m256 vmax = _mm256_setzero_ps();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    vmax = _mm256_max_ps(
-        vmax, _mm256_and_ps(_mm256_loadu_ps(src.data() + i), abs_mask));
+    vmax = _mm256_max_ps(_mm256_and_ps(_mm256_loadu_ps(p + i), abs_mask),
+                         vmax);
+  }
+  if (i < n) {
+    vmax = _mm256_max_ps(_mm256_and_ps(load_first(p + i, n - i), abs_mask),
+                         vmax);
   }
   __m128 fold = _mm_max_ps(_mm256_castps256_ps128(vmax),
                            _mm256_extractf128_ps(vmax, 1));
   fold = _mm_max_ps(fold, _mm_shuffle_ps(fold, fold, 0x4E));
   fold = _mm_max_ps(fold, _mm_shuffle_ps(fold, fold, 0xB1));
-  float abs_max = _mm_cvtss_f32(fold);
-  for (; i < n; ++i) abs_max = std::max(abs_max, std::fabs(src[i]));
-  const float scale = row_scale_for(abs_max);
-  const float inv_scale = 1.0f / scale;
-  const __m256 vinv = _mm256_set1_ps(inv_scale);
-  const __m256 vlo = _mm256_set1_ps(-127.0f);
-  const __m256 vhi = _mm256_set1_ps(127.0f);
+  const float scale = row_scale_for(_mm_cvtss_f32(fold));
+  const __m256 vinv = _mm256_set1_ps(1.0f / scale);
   i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m256 a = _mm256_min_ps(
-        _mm256_max_ps(
-            _mm256_mul_ps(_mm256_loadu_ps(src.data() + i), vinv), vlo),
-        vhi);
-    const __m256 b = _mm256_min_ps(
-        _mm256_max_ps(
-            _mm256_mul_ps(_mm256_loadu_ps(src.data() + i + 8), vinv), vlo),
-        vhi);
-    // packs works within 128-bit lanes; the permute restores order.
-    const __m256i packed = _mm256_permute4x64_epi64(
-        _mm256_packs_epi32(_mm256_cvtps_epi32(a), _mm256_cvtps_epi32(b)),
-        0xD8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), packed);
+    store_codes(dst + i, _mm256_loadu_ps(p + i), _mm256_loadu_ps(p + i + 8),
+                vinv);
   }
-  for (; i < n; ++i) {
-    dst[i] = static_cast<std::int16_t>(quantize_code(src[i], inv_scale));
+  if (i < n) {
+    // The last 1..15 elements: zero lanes quantize to 0, so the sixteen
+    // stored codes also write the first padding slots (padded is a
+    // multiple of 16, so they are in bounds).
+    const std::size_t t = n - i;
+    store_codes(dst + i, load_first(p + i, std::min<std::size_t>(t, 8)),
+                t > 8 ? load_first(p + i + 8, t - 8) : _mm256_setzero_ps(),
+                vinv);
+    i += 16;
   }
-  std::fill(dst + n, dst + padded, std::int16_t{0});
+  std::fill(dst + i, dst + padded, std::int16_t{0});
   return scale;
 }
 #endif  // ANOLE_HAVE_AVX2_TARGET
@@ -666,6 +680,20 @@ void gemm_rows(Level level, std::size_t ilo, std::size_t ihi, std::size_t k,
                        pc);
       return;
   }
+}
+
+std::int32_t quantize_code(float value, float inv_scale) {
+  const float scaled = value * inv_scale;
+  // NaN quantizes to 0 (casting it to an integer would be undefined).
+  if (std::isnan(scaled)) return 0;
+  return static_cast<std::int32_t>(
+      std::clamp(std::nearbyint(scaled), -127.0f, 127.0f));
+}
+
+float row_scale_for(float abs_max) {
+  float scale = abs_max > 0.0f ? abs_max / 127.0f : 1.0f;
+  if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
+  return scale;
 }
 
 float quantize_row_int16(Level level, std::span<const float> src,

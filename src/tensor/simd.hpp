@@ -75,9 +75,20 @@ void gemm_rows(Level level, std::size_t ilo, std::size_t ihi, std::size_t k,
 /// widest (AVX2) dot product has no scalar tail.
 inline constexpr std::size_t kQgemmDepthMultiple = 16;
 
+/// Symmetric int8 code for `value * inv_scale`: rounded to nearest even
+/// (the default FP environment, matching cvtps2dq), clamped to
+/// [-127, 127]; a NaN product quantizes to 0. The one rule behind every
+/// int8 quantizer (weights, activations, the public row helpers).
+std::int32_t quantize_code(float value, float inv_scale);
+
+/// Symmetric scale for a row with the given absolute maximum:
+/// abs_max / 127, or 1 when that is not a positive finite number.
+float row_scale_for(float abs_max);
+
 /// Quantizes one fp32 row into int8 codes stored as padded int16 (the
 /// pmaddwd idiom's input), returning the symmetric row scale. Codes and
-/// scale are identical at every level (round-to-nearest-even throughout).
+/// scale are identical at every level (round-to-nearest-even throughout):
+/// a NaN element adds nothing to the abs-max and quantizes to 0.
 float quantize_row_int16(Level level, std::span<const float> src,
                          std::int16_t* dst, std::size_t padded);
 

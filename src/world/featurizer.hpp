@@ -5,6 +5,7 @@
 // encoder sits on top.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -13,6 +14,18 @@
 
 namespace anole::world {
 
+/// Number of per-channel frame statistics: a mean and a stddev for each of
+/// the kCellChannels cell channels.
+inline constexpr std::size_t kChannelMoments = 2 * kCellChannels;
+
+/// Writes the per-channel mean (out[c]) and population stddev
+/// (out[kCellChannels + c]) of `frame`'s cells into `out`, which must hold
+/// kChannelMoments floats. One row-major sweep; each channel accumulates
+/// in double, in ascending cell order. This is both the head of the
+/// FrameFeaturizer descriptor and the detector's per-cell context, so the
+/// two agree bit for bit.
+void write_channel_moments(const Frame& frame, std::span<float> out);
+
 class FrameFeaturizer {
  public:
   /// Number of luminance histogram bins in the descriptor.
@@ -20,7 +33,7 @@ class FrameFeaturizer {
 
   /// Descriptor width: mean + stddev per channel, plus the histogram.
   static constexpr std::size_t feature_count() {
-    return 2 * kCellChannels + kHistogramBins;
+    return kChannelMoments + kHistogramBins;
   }
 
   /// Descriptor of one frame as a [1, feature_count] matrix row.

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "world/world.hpp"
 
 namespace anole::detect {
@@ -168,6 +173,75 @@ TEST(GridDetector, ConfidenceThresholdControlsOutput) {
       generator.render(world::SceneStyle::from_attributes(attrs), attrs, {},
                        rng);
   EXPECT_TRUE(detector.detect(frame).empty());
+}
+
+/// GridDetector::infer's decode without the logit prefilter: every cell's
+/// confidence through exp, then the exact threshold test and NMS.
+std::vector<Detection> reference_decode(GridDetector& detector,
+                                        const world::Frame& frame) {
+  const Tensor outputs =
+      detector.network().infer(GridDetector::build_inputs(frame));
+  const std::size_t g = frame.grid_size;
+  std::vector<Detection> detections;
+  for (std::size_t i = 0; i < frame.cell_count(); ++i) {
+    auto row = outputs.row(i);
+    const double confidence = 1.0 / (1.0 + std::exp(-row[0]));
+    if (confidence < detector.config().confidence_threshold) continue;
+    Detection det;
+    det.confidence = confidence;
+    det.cx = (static_cast<double>(i % g) +
+              std::clamp(static_cast<double>(row[1]), 0.0, 1.0)) /
+             static_cast<double>(g);
+    det.cy = (static_cast<double>(i / g) +
+              std::clamp(static_cast<double>(row[2]), 0.0, 1.0)) /
+             static_cast<double>(g);
+    det.w = std::clamp(static_cast<double>(row[3]), 0.02, 0.5);
+    det.h = std::clamp(static_cast<double>(row[4]), 0.02, 0.5);
+    detections.push_back(det);
+  }
+  return non_maximum_suppression(std::move(detections),
+                                 detector.config().nms_threshold,
+                                 detector.config().nms_center_distance);
+}
+
+bool same_bits(const std::vector<Detection>& a,
+               const std::vector<Detection>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(Detection)) == 0);
+}
+
+TEST(GridDetector, LogitPrefilterMatchesExactDecodeAtTheBoundary) {
+  // Zeroed last-layer weights make every cell's objectness logit equal
+  // the bias, which is placed at and just around logit(t); thresholds
+  // outside (0, 1) take the exact test for every cell.
+  Rng rng(5);
+  GridDetector detector(GridDetectorConfig::compressed(), rng);
+  nn::Sequential& net = detector.network();
+  auto& last = dynamic_cast<nn::Linear&>(net.at(net.size() - 1));
+  last.weight().value.fill(0.0f);
+  last.bias().value.fill(0.0f);
+  world::FrameGenerator generator;
+  const world::SceneAttributes attrs{world::Weather::kClear,
+                                     world::Location::kUrban,
+                                     world::TimeOfDay::kDaytime};
+  const auto frame = generator.render(
+      world::SceneStyle::from_attributes(attrs), attrs, {}, rng);
+  const double thresholds[] = {0.0, 1e-9, 0.05, 0.5, 1.0 - 1e-9,
+                               1.0 - std::ldexp(1.0, -52), 1.0, 1.5};
+  const double offsets[] = {-2e-3, -1e-3, -1e-12, 0.0, 1e-12};
+  for (double t : thresholds) {
+    const double logit =
+        t <= 0.0 ? -20.0 : t >= 1.0 ? 20.0 : std::log(t / (1.0 - t));
+    detector.set_confidence_threshold(t);
+    for (double offset : offsets) {
+      last.bias().value[0] = static_cast<float>(logit + offset);
+      const std::vector<Detection> served = detector.infer(frame);
+      EXPECT_TRUE(same_bits(served, reference_decode(detector, frame)))
+          << "threshold " << t << ", logit offset " << offset << ": "
+          << served.size() << " detections";
+    }
+  }
 }
 
 TEST(DetectorTrainConfig, EffectiveEpochsScaling) {

@@ -4,7 +4,10 @@
 // from the chunked thread-pool implementation these kernels replaced, at
 // 1 and 4 threads, so a rewrite that changes a combine order, a block
 // boundary or a row partition fails here even when it is self-consistent
-// across thread counts.
+// across thread counts. The frame-descriptor and detector-input goldens
+// were recorded before the featurizer and the detector shared
+// world::write_channel_moments, so a change to its accumulation order
+// fails here too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +19,7 @@
 #include "cluster/kmeans.hpp"
 #include "core/artifact.hpp"
 #include "core/profiler.hpp"
+#include "detect/grid_detector.hpp"
 #include "micro_world.hpp"
 #include "simd_levels.hpp"
 #include "tensor/qgemm.hpp"
@@ -23,6 +27,8 @@
 #include "util/hash.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "world/featurizer.hpp"
+#include "world/scenario.hpp"
 #include "world/world.hpp"
 
 namespace anole {
@@ -148,6 +154,83 @@ TEST(KernelGolden, KMeansAssignmentsAndInertia) {
       EXPECT_EQ(bits_of(result.inertia), 0x40B2BE1ED380114BULL);
       EXPECT_EQ(result.iterations, 6u);
       EXPECT_EQ(rng(), 0xA71F78B6C9FB7268ULL);
+    }
+  }
+}
+
+/// A degrade-armed micro-world stream: its first frame is undamaged (the
+/// ramp starts at 0), its last is the most degraded.
+struct ScenarioFrames {
+  world::ScenarioStream stream;
+  const world::Frame& clean() const { return stream.clip.frames.front(); }
+  const world::Frame& degraded() const { return stream.clip.frames.back(); }
+};
+
+ScenarioFrames scenario_frames() {
+  const world::World world = world::make_benchmark_world(micro_world_config());
+  world::ScenarioConfig config;
+  config.seed = 23;
+  config.arm(world::ScenarioPack::kDegrade, 1.0, 2.0);
+  return {world::compose_scenario(world, config, 60)};
+}
+
+std::vector<std::uint32_t> descriptor_bits(const world::Frame& frame) {
+  const Tensor descriptor = world::FrameFeaturizer().featurize(frame);
+  std::vector<std::uint32_t> bits;
+  for (float v : descriptor.data()) bits.push_back(bits_of(v));
+  return bits;
+}
+
+/// The 32-float frame descriptor: 12 channel means, 12 stddevs, then the
+/// 8-bin luminance histogram.
+TEST(KernelGolden, FrameDescriptorBits) {
+  const ScenarioFrames frames = scenario_frames();
+  EXPECT_EQ(descriptor_bits(frames.clean()),
+            (std::vector<std::uint32_t>{
+                0x3DB586B4u, 0x3DA75951u, 0x3DB9BF47u, 0x3D97CE63u,
+                0xBD678DF0u, 0x3E796C03u, 0x3EBC03D6u, 0x3DBADCE9u,
+                0xBBBAC47Fu, 0xBBB0D9D3u, 0x3B29DD7Bu, 0xBBFA3481u,
+                0x3D830E11u, 0x3D84FC55u, 0x3D81E268u, 0x3D70BC1Au,
+                0x3D66B736u, 0x3D713677u, 0x3D565E2Au, 0x3D672670u,
+                0x3D81C68Cu, 0x3D521C03u, 0x3D571A73u, 0x3D691BD0u,
+                0x00000000u, 0x3F5C71C7u, 0x3E0E38E4u, 0x00000000u,
+                0x00000000u, 0x00000000u, 0x00000000u, 0x00000000u}));
+  EXPECT_EQ(descriptor_bits(frames.degraded()),
+            (std::vector<std::uint32_t>{
+                0x3DF5EAF1u, 0x3D0B92ADu, 0x3DD6347Au, 0x3DAA88F9u,
+                0xBD396696u, 0x3E61BEC2u, 0x3EBA6EA4u, 0x3DBD81FCu,
+                0x3C93E749u, 0xBD12C98Du, 0x3D1B42A5u, 0x3C21B6C8u,
+                0x3E2CA284u, 0x3E462C40u, 0x3E3F445Cu, 0x3E3964CAu,
+                0x3E38703Cu, 0x3E41BF14u, 0x3E4FA0D3u, 0x3E2F2E1Cu,
+                0x3E3D0D2Bu, 0x3E3EEFA5u, 0x3E319FCAu, 0x3E4D1726u,
+                0x3D8E38E4u, 0x3F0AAAABu, 0x3EC71C72u, 0x00000000u,
+                0x00000000u, 0x00000000u, 0x00000000u, 0x00000000u}));
+}
+
+/// The detector's [cells, input_features] input matrix.
+TEST(KernelGolden, DetectorInputDigest) {
+  const ScenarioFrames frames = scenario_frames();
+  EXPECT_EQ(tensor_digest(detect::GridDetector::build_inputs(frames.clean())),
+            0xE93E52E151BE69B5ULL);
+  EXPECT_EQ(
+      tensor_digest(detect::GridDetector::build_inputs(frames.degraded())),
+      0xA62BA575A5AFC890ULL);
+}
+
+/// The descriptor's channel moments and every cell's context columns are
+/// one computation, so they agree bit for bit.
+TEST(KernelGolden, DescriptorMomentsEqualDetectorContext) {
+  const ScenarioFrames frames = scenario_frames();
+  constexpr std::size_t kMoments = 2 * world::kCellChannels;
+  for (const world::Frame* frame : {&frames.clean(), &frames.degraded()}) {
+    const std::vector<std::uint32_t> descriptor = descriptor_bits(*frame);
+    const Tensor inputs = detect::GridDetector::build_inputs(*frame);
+    for (std::size_t i = 0; i < inputs.rows(); ++i) {
+      const auto row = inputs.row(i);
+      for (std::size_t c = 0; c < kMoments; ++c) {
+        ASSERT_EQ(bits_of(row[world::kCellChannels + c]), descriptor[c])
+            << "cell " << i << " moment " << c;
+      }
     }
   }
 }

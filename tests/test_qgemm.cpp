@@ -14,6 +14,8 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/quantize.hpp"
@@ -167,6 +169,117 @@ TEST(QuantizeRowInt8, CodesMatchSymmetricRule) {
   EXPECT_EQ(codes[3], 0);
   // Round-to-nearest-even at 0.5 * 127 = 63.5 -> 64.
   EXPECT_EQ(codes[2], 64);
+}
+
+TEST(QuantizeRowInt8, NanIsLeftOutOfTheScaleAndQuantizesToZero) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> row = {0.5f, nan, -1.0f, nan};
+  std::vector<std::int8_t> codes(row.size());
+  const float scale = quantize_row_int8(row, codes);
+  EXPECT_EQ(scale, 1.0f / 127.0f);
+  EXPECT_EQ(codes, (std::vector<std::int8_t>{64, 0, -127, 0}));
+}
+
+// --- activation quantizer parity across dispatch levels ---
+
+/// Codes (padding included) and scale bits of simd::quantize_row_int16.
+struct Int16Row {
+  std::vector<std::int16_t> codes;
+  std::uint32_t scale_bits = 0;
+  bool operator==(const Int16Row&) const = default;
+};
+
+Int16Row quantize_int16_at(simd::Level level, const std::vector<float>& row) {
+  const std::size_t padded =
+      (row.size() + simd::kQgemmDepthMultiple - 1) /
+      simd::kQgemmDepthMultiple * simd::kQgemmDepthMultiple;
+  // A non-zero sentinel, so a padding slot left unwritten shows up.
+  Int16Row out{std::vector<std::int16_t>(padded, 0x5A5A), 0};
+  const float scale =
+      simd::quantize_row_int16(level, row, out.codes.data(), padded);
+  std::memcpy(&out.scale_bits, &scale, sizeof(scale));
+  return out;
+}
+
+/// The rows every depth is checked on, each named for the failure report.
+std::vector<std::pair<std::string, std::vector<float>>> parity_rows(
+    std::size_t n, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> random(n);
+  for (float& v : random) v = static_cast<float>(rng.normal());
+  std::vector<std::pair<std::string, std::vector<float>>> rows;
+  rows.emplace_back("all zero", std::vector<float>(n, 0.0f));
+  rows.emplace_back("random", random);
+  std::vector<float> tail_max = random;
+  tail_max.back() = -9.0f;
+  rows.emplace_back("max in the tail", tail_max);
+  // |max| = 127 makes the scale exactly 1, so +-(k + 0.5) are exact ties.
+  std::vector<float> ties(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const float half = static_cast<float>(i % 127) + 0.5f;
+    ties[i] = i % 2 == 0 ? half : -half;
+  }
+  ties.front() = 127.0f;
+  rows.emplace_back("ties", ties);
+  // An infinite element pins the scale to 1: everything else lies beyond
+  // +-127 * scale and clamps.
+  std::vector<float> beyond(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    beyond[i] = (i % 2 == 0 ? 1.0f : -1.0f) * (300.0f + static_cast<float>(i));
+  }
+  beyond.front() = inf;
+  beyond.back() = n > 1 ? -inf : inf;
+  rows.emplace_back("+-inf and beyond 127 * scale", beyond);
+  std::vector<float> nan_first = random;
+  nan_first.front() = nan;
+  rows.emplace_back("NaN in the first chunk", nan_first);
+  std::vector<float> nan_last = random;
+  nan_last.back() = nan;
+  rows.emplace_back("NaN in the tail", nan_last);
+  return rows;
+}
+
+TEST(QuantizeRowInt16, ScalarAndAvx2AgreeAtEveryDepth) {
+  if (simd::detected_level() < simd::Level::kAVX2) {
+    GTEST_SKIP() << "host lacks AVX2";
+  }
+  Rng rng(70);
+  for (std::size_t n = 1; n <= 70; ++n) {
+    for (const auto& [name, row] : parity_rows(n, rng)) {
+      EXPECT_EQ(quantize_int16_at(simd::Level::kAVX2, row),
+                quantize_int16_at(simd::Level::kScalar, row))
+          << name << ", depth " << n;
+    }
+  }
+}
+
+TEST(QuantizeRowInt16, ScalarFollowsTheSymmetricRule) {
+  Rng rng(71);
+  for (std::size_t n = 1; n <= 70; ++n) {
+    for (const auto& [name, row] : parity_rows(n, rng)) {
+      SCOPED_TRACE(name + ", depth " + std::to_string(n));
+      const Int16Row q = quantize_int16_at(simd::Level::kScalar, row);
+      float abs_max = 0.0f;
+      for (float v : row) {
+        if (!std::isnan(v)) abs_max = std::max(abs_max, std::fabs(v));
+      }
+      const float scale = abs_max > 0.0f && std::isfinite(abs_max / 127.0f)
+                              ? abs_max / 127.0f
+                              : 1.0f;
+      std::uint32_t scale_bits = 0;
+      std::memcpy(&scale_bits, &scale, sizeof(scale));
+      EXPECT_EQ(q.scale_bits, scale_bits);
+      for (std::size_t i = 0; i < q.codes.size(); ++i) {
+        std::int16_t expected = 0;
+        if (i < n && !std::isnan(row[i])) {
+          expected = static_cast<std::int16_t>(std::clamp(
+              std::nearbyint(row[i] * (1.0f / scale)), -127.0f, 127.0f));
+        }
+        ASSERT_EQ(q.codes[i], expected) << "element " << i;
+      }
+    }
+  }
 }
 
 // --- the kernel ---
