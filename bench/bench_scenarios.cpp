@@ -4,8 +4,8 @@
 // confidence floor calibrated offline), governor-only, and the drift
 // responder (CUSUM detector -> floor recalibration + smoothing decay +
 // forced re-rank). Reports an F1/latency matrix per pack, then pins the
-// robustness contracts: scenario trace hashes replay bitwise across
-// reruns and 1-vs-4 worker threads, ANOLE_DRIFT=0 reproduces the
+// robustness contracts: scenario trace hashes and frames replay bitwise
+// across reruns and 1-vs-4 worker threads, ANOLE_DRIFT=0 reproduces the
 // unadapted timeline exactly, and on the drift pack the responder
 // recovers at least half of the F1 the frozen baseline loses against a
 // fully adaptive ceiling on the same stream. Writes BENCH_scenarios.json.
@@ -172,6 +172,15 @@ int main() {
       std::fprintf(stderr, "[bench_scenarios] %s trace hash diverged!\n",
                    pack.name);
     }
+    // The trace covers the event schedule only; the frames themselves
+    // must match too.
+    const std::uint64_t frames = stream.clip.content_hash();
+    if (frames != rerun.clip.content_hash() ||
+        frames != threaded.clip.content_hash()) {
+      scenario_replay_identical = false;
+      std::fprintf(stderr, "[bench_scenarios] %s frames diverged!\n",
+                   pack.name);
+    }
     scenario_hashes.push_back(hash);
     streams.push_back(std::move(stream));
   }
@@ -229,8 +238,9 @@ int main() {
       detached.f1 == frozen.f1 && detached.drift_responses == 0;
   std::printf("ANOLE_DRIFT=0 reproduces unadapted timeline: %s\n",
               detach_exact ? "yes" : "NO (detach regression!)");
-  std::printf("scenario trace hashes rerun/thread invariant: %s\n",
-              scenario_replay_identical ? "yes" : "NO (determinism bug!)");
+  std::printf(
+      "scenario trace hashes and frames rerun/thread invariant: %s\n",
+      scenario_replay_identical ? "yes" : "NO (determinism bug!)");
 
   std::FILE* out = std::fopen("BENCH_scenarios.json", "w");
   if (out == nullptr) {

@@ -137,6 +137,14 @@ alignas(32) constexpr std::int32_t kTailMask[16] = {-1, -1, -1, -1, -1, -1,
                                                    -1, -1, 0,  0,  0,  0,
                                                    0,  0,  0,  0};
 
+/// Lane mask enabling the first `n % 8` lanes, or all eight when `n` is a
+/// multiple of 8 (the last vector of an n-wide row).
+ANOLE_TARGET_AVX2 inline __m256i last_vector_mask(std::size_t n) {
+  const std::size_t tail = n % 8;
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+      kTailMask + (tail == 0 ? 0 : 8 - tail)));
+}
+
 /// Narrow-output kernel: the whole C row lives in `kVecs` register
 /// accumulators across the k loop instead of a load/store round trip per
 /// k (the blocked path below is store-forwarding-bound at the skinny
@@ -147,13 +155,18 @@ alignas(32) constexpr std::int32_t kTailMask[16] = {-1, -1, -1, -1, -1, -1,
 /// n in ((kVecs-1)*8, kVecs*8] fits. Per output element the accumulation
 /// is still one fused multiply-add per k, kk ascending, independent of
 /// row grouping and chunk boundaries, so results are bitwise identical
-/// to the blocked path at any thread count.
+/// to the blocked path at any thread count. No ymm value crosses a call
+/// boundary (the mask is rebuilt from `n`): GCC emits no vzeroupper on a
+/// tail call that passes one, and the dirty upper state it leaves behind
+/// makes every later SSE instruction on the thread pay a transition
+/// penalty.
 template <int kVecs, int kRows>
 ANOLE_TARGET_AVX2 void gemm_rows_avx2_narrow(std::size_t ilo, std::size_t ihi,
                                              std::size_t k, std::size_t n,
                                              const float* pa, std::size_t ars,
                                              std::size_t acs, const float* pb,
-                                             float* pc, __m256i last_mask) {
+                                             float* pc) {
+  const __m256i last_mask = last_vector_mask(n);
   std::size_t i = ilo;
   for (; i + kRows <= ihi; i += kRows) {
     __m256 acc[kRows][kVecs];
@@ -185,8 +198,7 @@ ANOLE_TARGET_AVX2 void gemm_rows_avx2_narrow(std::size_t ilo, std::size_t ihi,
     }
   }
   if constexpr (kRows > 1) {
-    gemm_rows_avx2_narrow<kVecs, 1>(i, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+    gemm_rows_avx2_narrow<kVecs, 1>(i, ihi, k, n, pa, ars, acs, pb, pc);
   }
 }
 
@@ -195,44 +207,33 @@ void gemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t k,
                     std::size_t n, const float* pa, std::size_t ars,
                     std::size_t acs, const float* pb, float* pc) {
   if (n > 0 && n <= 64) {
-    const std::size_t tail = n % 8;
-    const __m256i last_mask = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-        kTailMask + (tail == 0 ? 0 : 8 - tail)));
     // Row-group widths keep every live accumulator (kRows * kVecs), the
     // shared B vectors, and the broadcast register inside the 16 ymm
     // registers; wider outputs drop to fewer rows per group.
     switch ((n + 7) / 8) {
       case 1:
-        gemm_rows_avx2_narrow<1, 8>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+        gemm_rows_avx2_narrow<1, 8>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
         return;
       case 2:
-        gemm_rows_avx2_narrow<2, 6>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+        gemm_rows_avx2_narrow<2, 6>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
         return;
       case 3:
-        gemm_rows_avx2_narrow<3, 3>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+        gemm_rows_avx2_narrow<3, 3>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
         return;
       case 4:
-        gemm_rows_avx2_narrow<4, 2>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+        gemm_rows_avx2_narrow<4, 2>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
         return;
       case 5:
-        gemm_rows_avx2_narrow<5, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+        gemm_rows_avx2_narrow<5, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
         return;
       case 6:
-        gemm_rows_avx2_narrow<6, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+        gemm_rows_avx2_narrow<6, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
         return;
       case 7:
-        gemm_rows_avx2_narrow<7, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+        gemm_rows_avx2_narrow<7, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
         return;
       default:
-        gemm_rows_avx2_narrow<8, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+        gemm_rows_avx2_narrow<8, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
         return;
     }
   }
@@ -610,7 +611,12 @@ void kmeans_distances_scalar(const float* point, std::size_t dims,
 }
 
 #if ANOLE_HAVE_AVX2_TARGET
-ANOLE_TARGET_AVX2
+// GCC's intrinsics are plain vector arithmetic, so at its default
+// -ffp-contract=fast the add of a product below became a vfmadd231pd,
+// one rounding per step instead of the scalar loop's two. Contraction is
+// turned off for this function only: sigmoid_terms_avx2 keeps its fused
+// polynomial.
+ANOLE_TARGET_AVX2 __attribute__((optimize("fp-contract=off")))
 void kmeans_distances_avx2(const float* point, std::size_t dims,
                            const double* ct, std::size_t k_stride,
                            double* dist) {

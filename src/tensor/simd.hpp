@@ -26,6 +26,10 @@
 //   counts and chunkings. The active level is mixed into fault and
 //   governor trace hashes, so replay logs pin it; replay under a
 //   different ANOLE_SIMD is detected as a trace mismatch.
+//
+// Every AVX2 entry point returns with clean upper-YMM state (a vzeroupper
+// on every exit): dirty state left on a thread makes each later SSE
+// instruction there pay for it (tests/test_simd.cpp reads XINUSE).
 #pragma once
 
 #include <cstddef>

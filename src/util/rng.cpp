@@ -19,6 +19,34 @@ std::uint64_t rotl(std::uint64_t v, int k) noexcept {
   return (v << k) | (v >> (64 - k));
 }
 
+/// The polar form of one Box-Muller pair. Both halves of a pair come from
+/// these expressions, whether normal() evaluates them at once or a skipped
+/// pair's leftover half is evaluated later.
+struct BoxMuller {
+  double r;
+  double theta;
+  double cos_half() const noexcept { return r * std::cos(theta); }
+  double sin_half() const noexcept { return r * std::sin(theta); }
+};
+
+BoxMuller box_muller(double u1, double u2) noexcept {
+  return {std::sqrt(-2.0 * std::log(u1)), 2.0 * std::numbers::pi * u2};
+}
+
+/// The uniforms of one Box-Muller pair: u1 in (0, 1), u2 in [0, 1).
+struct UniformPair {
+  double u1;
+  double u2;
+};
+
+UniformPair draw_uniform_pair(Rng& rng) noexcept {
+  double u1 = 0.0;
+  do {
+    u1 = rng.uniform();
+  } while (u1 <= 0.0);
+  return {u1, rng.uniform()};
+}
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -61,20 +89,36 @@ int Rng::uniform_int(int lo, int hi) noexcept {
 }
 
 double Rng::normal() noexcept {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
+  switch (cached_) {
+    case Cached::kValue:
+      cached_ = Cached::kNone;
+      return cached_normal_;
+    case Cached::kUniforms:
+      cached_ = Cached::kNone;
+      return box_muller(cached_normal_, cached_u2_).sin_half();
+    case Cached::kNone:
+      break;
   }
-  double u1 = 0.0;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
-  return r * std::cos(theta);
+  const UniformPair uniforms = draw_uniform_pair(*this);
+  const BoxMuller pair = box_muller(uniforms.u1, uniforms.u2);
+  cached_normal_ = pair.sin_half();
+  cached_ = Cached::kValue;
+  return pair.cos_half();
+}
+
+void Rng::skip_normals(std::size_t n) noexcept {
+  if (n == 0) return;
+  if (cached_ != Cached::kNone) {
+    cached_ = Cached::kNone;
+    --n;
+  }
+  for (; n >= 2; n -= 2) (void)draw_uniform_pair(*this);
+  if (n == 1) {
+    const UniformPair uniforms = draw_uniform_pair(*this);
+    cached_normal_ = uniforms.u1;
+    cached_u2_ = uniforms.u2;
+    cached_ = Cached::kUniforms;
+  }
 }
 
 double Rng::normal(double mean, double stddev) noexcept {

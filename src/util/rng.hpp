@@ -45,6 +45,14 @@ class Rng {
   /// Standard normal via Box-Muller (cached pair).
   double normal() noexcept;
 
+  /// Advances the stream exactly as `n` normal() calls would, without
+  /// their log/sqrt/sincos: it consumes a cached half, draws each pair's
+  /// uniforms (with normal()'s u1 > 0 rejection) and keeps a leftover
+  /// half as its uniform pair, evaluated by the next normal() with the
+  /// same expression. Every later draw is bit-identical to the unskipped
+  /// stream's.
+  void skip_normals(std::size_t n) noexcept;
+
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev) noexcept;
 
@@ -80,9 +88,15 @@ class Rng {
   Rng split() noexcept;
 
  private:
+  /// The Box-Muller pair's second half, held back for the next normal():
+  /// as a value, or (after skip_normals) as the uniforms u1, u2 it is
+  /// computed from.
+  enum class Cached : std::uint8_t { kNone, kValue, kUniforms };
+
   std::uint64_t state_[4];
-  double cached_normal_ = 0.0;
-  bool has_cached_normal_ = false;
+  double cached_normal_ = 0.0;  // kValue: the value; kUniforms: u1
+  double cached_u2_ = 0.0;      // kUniforms: u2
+  Cached cached_ = Cached::kNone;
 };
 
 /// Returns a shuffled permutation of [0, n).

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,11 @@ struct Clip {
   /// Split role of frame i under the 6:2:2 contiguous-block protocol
   /// (kUnseen for every frame of an unseen clip).
   SplitRole split_role(std::size_t frame_index) const;
+
+  /// FNV-1a over the clip's ids and attributes and everything each frame
+  /// carries: cell bits, brightness/contrast bits, objects, attributes and
+  /// ids. Equal hashes mean bit-identical frames.
+  std::uint64_t content_hash() const;
 };
 
 }  // namespace anole::world

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+
+#include "util/check.hpp"
 
 namespace anole::world {
 namespace {
@@ -13,6 +16,27 @@ constexpr std::array<double, kBlockChannels> kBaseSignature = {0.62, 0.37,
 /// Overlap of [a0, a1] with [b0, b1].
 double overlap(double a0, double a1, double b0, double b1) {
   return std::max(0.0, std::min(a1, b1) - std::max(a0, b0));
+}
+
+/// Normal draws a cell's features take: one noise draw per channel.
+constexpr std::size_t kCellNoiseDraws = kCellChannels;
+
+/// The Rng draw order of painting a frame, the one copy paint() and
+/// skip_paint() share. Cells go in row-major order; each takes
+/// kCellNoiseDraws normals (`noise(cell)` must make exactly that many),
+/// then, when the style has clutter, a bernoulli and on success a streak
+/// magnitude and angle (`streak(cell, magnitude, angle)` draws nothing).
+template <typename Noise, typename Streak>
+void walk_cell_draws(std::size_t cells, double clutter, Rng& rng,
+                     Noise&& noise, Streak&& streak) {
+  for (std::size_t i = 0; i < cells; ++i) {
+    noise(i);
+    if (clutter > 0.0 && rng.bernoulli(0.10 * clutter)) {
+      const double magnitude = rng.uniform(0.25, 0.8);
+      const double angle = rng.uniform(0.0, 2.0 * 3.14159265358979);
+      streak(i, magnitude, angle);
+    }
+  }
 }
 
 }  // namespace
@@ -31,7 +55,9 @@ std::array<double, kBlockChannels> object_signature(double appearance_angle) {
 }
 
 FrameGenerator::FrameGenerator(std::size_t grid_size)
-    : grid_size_(grid_size) {}
+    : grid_size_(grid_size) {
+  ANOLE_CHECK_GE(grid_size, 1u, "FrameGenerator: grid_size == 0");
+}
 
 ObjectInstance FrameGenerator::sample_object(const SceneStyle& style,
                                              Rng& rng) const {
@@ -54,55 +80,74 @@ Frame FrameGenerator::render(const SceneStyle& style,
                              const SceneAttributes& attrs,
                              const std::vector<ObjectInstance>& objects,
                              Rng& rng) const {
-  const std::size_t g = grid_size_;
-  Frame frame;
-  frame.grid_size = g;
-  frame.attributes = attrs;
-  frame.objects = objects;
-  frame.cells = Tensor::matrix(g * g, kCellChannels);
+  Frame frame = blank_frame(attrs, objects);
+  paint(frame, style, rng);
+  return frame;
+}
 
+Frame FrameGenerator::blank_frame(const SceneAttributes& attrs,
+                                  std::vector<ObjectInstance> objects) const {
+  Frame frame;
+  frame.grid_size = grid_size_;
+  frame.attributes = attrs;
+  frame.objects = std::move(objects);
+  frame.cells = Tensor::matrix(grid_size_ * grid_size_, kCellChannels);
+  return frame;
+}
+
+void FrameGenerator::skip_paint(const SceneStyle& style, Rng& rng) const {
+  walk_cell_draws(
+      grid_size_ * grid_size_, style.clutter, rng,
+      [&rng](std::size_t) { rng.skip_normals(kCellNoiseDraws); },
+      [](std::size_t, double, double) {});
+}
+
+void FrameGenerator::paint(Frame& frame, const SceneStyle& style,
+                           Rng& rng) const {
+  const std::size_t g = grid_size_;
+  ANOLE_CHECK(frame.grid_size == g && frame.cells.rows() == g * g &&
+                  frame.cells.cols() == kCellChannels,
+              "FrameGenerator::paint: frame is not a blank_frame of grid ", g);
   const auto sig = object_signature(style.appearance_angle);
   const double cell_size = 1.0 / static_cast<double>(g);
 
-  for (std::size_t y = 0; y < g; ++y) {
+  const auto noise = [&](std::size_t i) {
     // Sky-to-road vertical luminance gradient scaled by contrast.
-    const double row_center = (static_cast<double>(y) + 0.5) * cell_size;
+    const double row_center = (static_cast<double>(i / g) + 0.5) * cell_size;
     const double gradient = style.contrast * 0.35 * (0.5 - row_center);
-    for (std::size_t x = 0; x < g; ++x) {
-      auto cell = frame.cells.row(y * g + x);
-      // --- luminance block ---
-      for (std::size_t c = 0; c < kBlockChannels; ++c) {
-        const double channel_tint = 1.0 - 0.06 * static_cast<double>(c);
-        cell[c] = static_cast<float>(style.brightness * channel_tint +
-                                     gradient + rng.normal(0.0, style.noise));
-      }
-      // --- background texture block ---
-      for (std::size_t c = 0; c < kBlockChannels; ++c) {
-        cell[kBlockChannels + c] = static_cast<float>(
-            style.texture[c] * (0.4 + 0.8 * style.brightness) +
-            rng.normal(0.0, style.noise));
-      }
-      // --- object block background: noise + weather clutter ---
-      for (std::size_t c = 0; c < kBlockChannels; ++c) {
-        cell[2 * kBlockChannels + c] =
-            static_cast<float>(rng.normal(0.0, style.noise));
-      }
-      if (style.clutter > 0.0 && rng.bernoulli(0.10 * style.clutter)) {
-        // Rain streaks / snowflakes: object-block energy in a random
-        // direction — the detector's main source of false positives.
-        const double magnitude = rng.uniform(0.25, 0.8);
-        const double angle = rng.uniform(0.0, 2.0 * 3.14159265358979);
-        const auto clutter_sig = object_signature(angle);
-        for (std::size_t c = 0; c < kBlockChannels; ++c) {
-          cell[2 * kBlockChannels + c] +=
-              static_cast<float>(magnitude * clutter_sig[c]);
-        }
-      }
+    auto cell = frame.cells.row(i);
+    // --- luminance block ---
+    for (std::size_t c = 0; c < kBlockChannels; ++c) {
+      const double channel_tint = 1.0 - 0.06 * static_cast<double>(c);
+      cell[c] = static_cast<float>(style.brightness * channel_tint +
+                                   gradient + rng.normal(0.0, style.noise));
     }
-  }
+    // --- background texture block ---
+    for (std::size_t c = 0; c < kBlockChannels; ++c) {
+      cell[kBlockChannels + c] = static_cast<float>(
+          style.texture[c] * (0.4 + 0.8 * style.brightness) +
+          rng.normal(0.0, style.noise));
+    }
+    // --- object block background: noise (weather clutter below) ---
+    for (std::size_t c = 0; c < kBlockChannels; ++c) {
+      cell[2 * kBlockChannels + c] =
+          static_cast<float>(rng.normal(0.0, style.noise));
+    }
+  };
+  // Rain streaks / snowflakes: object-block energy in a random direction
+  // — the detector's main source of false positives.
+  const auto streak = [&](std::size_t i, double magnitude, double angle) {
+    const auto clutter_sig = object_signature(angle);
+    auto cell = frame.cells.row(i);
+    for (std::size_t c = 0; c < kBlockChannels; ++c) {
+      cell[2 * kBlockChannels + c] +=
+          static_cast<float>(magnitude * clutter_sig[c]);
+    }
+  };
+  walk_cell_draws(g * g, style.clutter, rng, noise, streak);
 
   // --- imprint objects with coverage-weighted signature ---
-  for (const auto& obj : objects) {
+  for (const auto& obj : frame.objects) {
     const double x0 = obj.cx - obj.w / 2;
     const double x1 = obj.cx + obj.w / 2;
     const double y0 = obj.cy - obj.h / 2;
@@ -162,7 +207,6 @@ Frame FrameGenerator::render(const SceneStyle& style,
       sum_sq / static_cast<double>(lum_count) -
       frame.brightness * frame.brightness;
   frame.contrast = std::sqrt(std::max(var, 0.0));
-  return frame;
 }
 
 ObjectDynamics::ObjectDynamics(const FrameGenerator& generator,

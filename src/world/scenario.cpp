@@ -7,6 +7,7 @@
 
 #include "util/check.hpp"
 #include "util/hash.hpp"
+#include "util/parallel.hpp"
 #include "util/spec.hpp"
 #include "world/frame_generator.hpp"
 
@@ -20,6 +21,11 @@ constexpr std::array<const char*, kScenarioPackCount> kPackNames = {
 /// and cache dynamics to matter, short enough that a hostile mix shift
 /// produces many scene transitions per stream.
 constexpr std::size_t kSegmentLength = 30;
+
+/// Frames scheduled before they paint (rounded up to whole segments): 64
+/// paint tasks per fan-out, and at most ~2 MB of recorded Rng states and
+/// styles at once instead of ~9 MB for a 40k-frame stream.
+constexpr std::size_t kComposeBlock = 64 * kPaintGrain;
 
 /// Frames a lighting burst lasts, and the exit-flash tail after it.
 constexpr std::size_t kBurstLength = 10;
@@ -70,7 +76,8 @@ double diurnal_density_scale(double phase, double amplitude) {
 /// a neighbor blur on the cell grid (optics fouling / focus loss), with
 /// the frame's photometric stats recomputed afterwards. `level` in
 /// [0, 1] is the ramp position scaled by the pack intensity; `magnitude`
-/// multiplies both effects.
+/// multiplies both effects. Its only draws are one normal per cell value,
+/// in storage order.
 void apply_sensor_degradation(Frame& frame, double level, double magnitude,
                               Rng& rng) {
   const std::size_t g = frame.grid_size;
@@ -78,11 +85,8 @@ void apply_sensor_degradation(Frame& frame, double level, double magnitude,
   const double sigma = 0.10 * level * magnitude;
   const double blur = std::clamp(0.45 * level * magnitude, 0.0, 0.75);
 
-  for (std::size_t i = 0; i < cells; ++i) {
-    auto cell = frame.cells.row(i);
-    for (std::size_t c = 0; c < kCellChannels; ++c) {
-      cell[c] += static_cast<float>(rng.normal(0.0, sigma));
-    }
+  for (float& value : frame.cells.data()) {
+    value += static_cast<float>(rng.normal(0.0, sigma));
   }
 
   if (blur > 0.0) {
@@ -134,6 +138,14 @@ void apply_sensor_degradation(Frame& frame, double level, double magnitude,
       sum_sq / lum_count - frame.brightness * frame.brightness;
   frame.contrast = std::sqrt(std::max(var, 0.0));
 }
+
+/// What a scheduled frame paints and degrades from.
+struct ScenarioPaint {
+  FramePaint paint;
+  Rng degrade_rng;
+  /// Degradation ramp level; 0 leaves the frame undamaged.
+  double ramp = 0.0;
+};
 
 }  // namespace
 
@@ -251,6 +263,28 @@ ScenarioStream compose_scenario(const World& world,
       config.packs[pack_index(ScenarioPack::kDiurnal)];
 
   FrameGenerator generator(world.config.grid_size);
+
+  // Composition alternates two passes over blocks of frames. The
+  // schedule below makes every draw that decides the stream, in stream
+  // order on this thread, and allocates each frame; it records the Rng
+  // states a frame's paint and degradation start from and skips the Rng
+  // streams past them. Then the block's frames paint on the pool.
+  std::vector<ScenarioPaint> paints;
+  paints.reserve(std::min(length, kComposeBlock + kSegmentLength));
+  const auto paint_block = [&] {
+    const std::size_t first = clip.frames.size() - paints.size();
+    par::parallel_for(0, paints.size(), kPaintGrain, [&](std::size_t i) {
+      ScenarioPaint& job = paints[i];
+      Frame& frame = clip.frames[first + i];
+      generator.paint(frame, job.paint.style, job.paint.rng);
+      if (job.ramp > 0.0) {
+        apply_sensor_degradation(frame, job.ramp, degrade.magnitude,
+                                 job.degrade_rng);
+      }
+    });
+    paints.clear();
+  };
+
   const double denom =
       length > 1 ? static_cast<double>(length - 1) : 1.0;
 
@@ -347,20 +381,20 @@ ScenarioStream compose_scenario(const World& world,
             std::clamp(style.brightness * (1.0 - 0.15 * ramp), 0.05, 1.0);
       }
 
-      Frame frame =
-          generator.render(style, attrs, dynamics.step(render_rng),
-                           render_rng);
-      if (ramp > 0.0) {
-        apply_sensor_degradation(frame, ramp, degrade.magnitude,
-                                 degrade_rng);
-      }
+      Frame& frame = clip.frames.emplace_back(
+          generator.blank_frame(attrs, dynamics.step(render_rng)));
       frame.clip_id = clip.clip_id;
       frame.dataset_id = dataset_id;
       frame.frame_index = frame_index;
-      clip.frames.push_back(std::move(frame));
+      paints.push_back(ScenarioPaint{FramePaint{style, render_rng},
+                                     degrade_rng, ramp});
+      generator.skip_paint(style, render_rng);
+      if (ramp > 0.0) degrade_rng.skip_normals(frame.cells.size());
     }
     ++segment;
+    if (paints.size() >= kComposeBlock) paint_block();
   }
+  paint_block();
 
   clip.attributes = clip.frames.front().attributes;
   return stream;

@@ -20,11 +20,14 @@
 //            morning/evening rush peaks.
 //
 // Configuration mirrors ANOLE_FAULTS: the ANOLE_SCENARIO environment
-// variable (grammar below) or programmatic arm(). Composition is fully
-// sequential and seeded — per-pack Rng streams keep an unarmed pack from
-// perturbing an armed one — so for a given (world, config, length) the
-// stream and its scenario event trace are bitwise identical across runs
-// and thread counts; the FNV-1a trace hash pins that in tests.
+// variable (grammar below) or programmatic arm(). Composition is seeded —
+// per-pack Rng streams keep an unarmed pack from perturbing an armed one.
+// Every draw that decides the stream is made in stream order on the
+// calling thread; only the per-frame painting and sensor degradation run
+// on the pool, each frame from its own recorded Rng states. So for a
+// given (world, config, length) the frames and the scenario event trace
+// are bitwise identical across runs and thread counts; the FNV-1a trace
+// hash and Clip::content_hash pin that in tests.
 //
 // Spec grammar (comma-separated tokens):
 //   ANOLE_SCENARIO="seed=7,drift=1.0,degrade=0.6x2,bursts=0.03x6,diurnal=1"
@@ -126,8 +129,8 @@ struct ScenarioStream {
 };
 
 /// Composes `length` hostile frames on top of `world`'s seen scenes.
-/// Requires at least one seen clip and length >= 1. Composition is
-/// sequential and deterministic in (world, config, length).
+/// Requires at least one seen clip and length >= 1. Deterministic in
+/// (world, config, length) at any thread count.
 ScenarioStream compose_scenario(const World& world,
                                 const ScenarioConfig& config,
                                 std::size_t length);

@@ -4,13 +4,20 @@
 #include <cmath>
 
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 
 namespace anole::world {
 
 ClipGenerator::ClipGenerator(std::size_t grid_size)
     : generator_(grid_size) {}
 
-Clip ClipGenerator::generate(const ClipSpec& spec, Rng& rng) const {
+namespace {
+
+/// Makes every draw of ClipGenerator::generate on `rng`, in the same
+/// order, but leaves the frames blank: frame i paints from the i-th
+/// FramePaint appended to `paints`.
+Clip schedule_clip(const FrameGenerator& generator, const ClipSpec& spec,
+                   Rng& rng, std::vector<FramePaint>& paints) {
   Clip clip;
   clip.attributes = spec.attributes;
   clip.clip_id = spec.clip_id;
@@ -20,7 +27,7 @@ Clip ClipGenerator::generate(const ClipSpec& spec, Rng& rng) const {
 
   SceneStyle base_style = SceneStyle::from_attributes(
       spec.attributes, spec.style_seed, spec.style_variation);
-  ObjectDynamics dynamics(generator_, base_style, rng);
+  ObjectDynamics dynamics(generator, base_style, rng);
 
   double flicker = 0.0;  // AR(1) illumination flicker
   for (std::size_t i = 0; i < spec.length; ++i) {
@@ -28,13 +35,34 @@ Clip ClipGenerator::generate(const ClipSpec& spec, Rng& rng) const {
     SceneStyle style = base_style;
     style.brightness =
         std::clamp(base_style.brightness * (1.0 + flicker), 0.05, 1.0);
-    Frame frame =
-        generator_.render(style, spec.attributes, dynamics.step(rng), rng);
+    Frame& frame = clip.frames.emplace_back(
+        generator.blank_frame(spec.attributes, dynamics.step(rng)));
     frame.clip_id = spec.clip_id;
     frame.dataset_id = spec.dataset_id;
     frame.frame_index = i;
-    clip.frames.push_back(std::move(frame));
+    paints.push_back(FramePaint{style, rng});
+    generator.skip_paint(style, rng);
   }
+  return clip;
+}
+
+/// Paints frames[i] from paints[i] on the pool.
+void paint_frames(const FrameGenerator& generator,
+                  const std::vector<Frame*>& frames,
+                  std::vector<FramePaint>& paints) {
+  par::parallel_for(0, frames.size(), kPaintGrain, [&](std::size_t i) {
+    generator.paint(*frames[i], paints[i].style, paints[i].rng);
+  });
+}
+
+}  // namespace
+
+Clip ClipGenerator::generate(const ClipSpec& spec, Rng& rng) const {
+  std::vector<FramePaint> paints;
+  Clip clip = schedule_clip(generator_, spec, rng, paints);
+  std::vector<Frame*> frames;
+  for (Frame& frame : clip.frames) frames.push_back(&frame);
+  paint_frames(generator_, frames, paints);
   return clip;
 }
 
@@ -179,7 +207,10 @@ World make_world(const WorldConfig& config,
               "make_world: clip_scale must be positive, got ",
               config.clip_scale);
   Rng rng(config.seed);
-  ClipGenerator generator(config.grid_size);
+  const FrameGenerator painter(config.grid_size);
+  // Every clip is scheduled first, in order, on `rng`; then all frames
+  // paint on the pool at once.
+  std::vector<FramePaint> paints;
 
   std::size_t clip_id = 0;
   for (std::size_t d = 0; d < profiles.size(); ++d) {
@@ -197,7 +228,7 @@ World make_world(const WorldConfig& config,
       spec.clip_id = clip_id;
       spec.dataset_id = d;
       spec.seen = true;
-      world.clips.push_back(generator.generate(spec, rng));
+      world.clips.push_back(schedule_clip(painter, spec, rng, paints));
       ++clip_id;
     }
     for (const auto& attrs : profile.unseen_clip_attributes) {
@@ -209,10 +240,17 @@ World make_world(const WorldConfig& config,
       spec.clip_id = clip_id;
       spec.dataset_id = d;
       spec.seen = false;
-      world.clips.push_back(generator.generate(spec, rng));
+      world.clips.push_back(schedule_clip(painter, spec, rng, paints));
       ++clip_id;
     }
   }
+
+  std::vector<Frame*> frames;
+  frames.reserve(paints.size());
+  for (Clip& clip : world.clips) {
+    for (Frame& frame : clip.frames) frames.push_back(&frame);
+  }
+  paint_frames(painter, frames, paints);
   return world;
 }
 

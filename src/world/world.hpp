@@ -32,6 +32,8 @@ class ClipGenerator {
  public:
   explicit ClipGenerator(std::size_t grid_size = kDefaultGridSize);
 
+  /// Every draw on `rng` is made in frame order on the calling thread;
+  /// the frames then paint on the pool (FrameGenerator).
   Clip generate(const ClipSpec& spec, Rng& rng) const;
 
   const FrameGenerator& frame_generator() const { return generator_; }

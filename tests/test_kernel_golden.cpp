@@ -235,6 +235,70 @@ TEST(KernelGolden, DescriptorMomentsEqualDetectorContext) {
   }
 }
 
+/// Whole-frame digests (Clip::content_hash: cell bits, photometric stats,
+/// objects, attributes, ids) recorded when every frame was still rendered
+/// in stream order on the calling thread. Frames now paint on the pool,
+/// each from Rng states the schedule recorded, so any change to a draw's
+/// order or to what a frame paints from fails here.
+std::uint64_t world_frames_digest(const world::World& world) {
+  Fnv1a digest;
+  for (const world::Clip& clip : world.clips) digest.mix(clip.content_hash());
+  return digest.value();
+}
+
+TEST(KernelGolden, MicroWorldFrames) {
+  ThreadCountGuard threads;
+  for (std::size_t count : kThreadCounts) {
+    par::set_thread_count(count);
+    SCOPED_TRACE("threads " + std::to_string(count));
+    const world::World world =
+        world::make_benchmark_world(micro_world_config());
+    EXPECT_EQ(world.total_frames(), 520u);
+    EXPECT_EQ(world_frames_digest(world), 0x4FA05CEA7AE7B345ULL);
+    Rng rng(5);
+    const world::Clip fast =
+        world::synthesize_fast_changing_clip(world, 4, 25, rng);
+    EXPECT_EQ(fast.content_hash(), 0xD3A13C34D411728CULL);
+    EXPECT_EQ(rng(), 0x76CA9E56E39BAABBULL);
+  }
+}
+
+/// 700 frames with every pack armed span six paint tasks; a clean stream
+/// of 650 frames covers the undegraded path.
+TEST(KernelGolden, ScenarioStreamFrames) {
+  ThreadCountGuard threads;
+  const world::World world = world::make_benchmark_world(micro_world_config());
+  const auto all_packs = world::ScenarioConfig::parse(
+      "seed=31,drift=1,degrade=1x3,bursts=0.35,diurnal=1");
+  const auto clean = world::ScenarioConfig::parse("seed=40");
+  for (std::size_t count : kThreadCounts) {
+    par::set_thread_count(count);
+    SCOPED_TRACE("threads " + std::to_string(count));
+    const world::ScenarioStream hostile =
+        world::compose_scenario(world, all_packs, 700);
+    EXPECT_EQ(hostile.clip.content_hash(), 0xFF3E45D7E5CF9F9EULL);
+    EXPECT_EQ(hostile.trace_hash(), 0xF620769909CBBEB2ULL);
+    EXPECT_EQ(world::compose_scenario(world, clean, 650).clip.content_hash(),
+              0xFF63803024A38B09ULL);
+  }
+}
+
+/// 8250 frames: the schedule hands the pool a first block of 8220 frames
+/// (274 whole segments, the first segment end past 8192) and then the
+/// last 30.
+TEST(KernelGolden, ScenarioStreamAcrossComposeBlocks) {
+  ThreadCountGuard threads;
+  par::set_thread_count(4);
+  const world::World world = world::make_benchmark_world(micro_world_config());
+  const world::ScenarioStream stream = world::compose_scenario(
+      world,
+      world::ScenarioConfig::parse(
+          "seed=31,drift=1,degrade=1x3,bursts=0.35,diurnal=1"),
+      8250);
+  EXPECT_EQ(stream.clip.content_hash(), 0x13053F0327FE9CE8ULL);
+  EXPECT_EQ(stream.trace_hash(), 0x895C73C788FD334FULL);
+}
+
 /// The whole offline phase on the micro world, saved as an artifact.
 void expect_micro_artifact(simd::Level level, std::size_t bytes,
                            std::uint64_t hash) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace anole {
 namespace {
@@ -91,6 +95,66 @@ TEST(Rng, NormalShiftScale) {
   double sum = 0.0;
   for (int i = 0; i < n; ++i) sum += rng.normal(10.0, 2.0);
   EXPECT_NEAR(sum / n, 10.0, 0.1);
+}
+
+/// The bits of the next few draws, mixing normals (which may consume a
+/// held-back half) with uniforms (which never do).
+std::vector<std::uint64_t> follow_up_bits(Rng& rng) {
+  std::vector<std::uint64_t> bits;
+  for (double v : {rng.normal(), rng.uniform(), rng.normal(), rng.normal(),
+                   rng.uniform(), rng.normal()}) {
+    bits.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  bits.push_back(rng());
+  return bits;
+}
+
+TEST(RngSkipNormals, MatchesThatManyNormalCalls) {
+  for (bool cached_half : {false, true}) {
+    for (std::size_t n = 0; n <= 7; ++n) {
+      SCOPED_TRACE("n " + std::to_string(n) + " cached " +
+                   std::to_string(cached_half));
+      Rng drawn(900 + n);
+      Rng skipped(900 + n);
+      if (cached_half) {
+        // One normal() leaves the pair's second half cached in both.
+        EXPECT_EQ(drawn.normal(), skipped.normal());
+      }
+      for (std::size_t i = 0; i < n; ++i) (void)drawn.normal();
+      skipped.skip_normals(n);
+      EXPECT_EQ(follow_up_bits(drawn), follow_up_bits(skipped));
+    }
+  }
+}
+
+TEST(RngSkipNormals, UniformAfterAnOddSkipLeavesTheHalfForTheNextNormal) {
+  Rng drawn(17);
+  Rng skipped(17);
+  (void)drawn.normal();
+  skipped.skip_normals(1);
+  // The held-back half survives interleaved uniforms and raw draws.
+  EXPECT_EQ(drawn.uniform(), skipped.uniform());
+  EXPECT_EQ(drawn(), skipped());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(drawn.normal()),
+            std::bit_cast<std::uint64_t>(skipped.normal()));
+  EXPECT_EQ(drawn(), skipped());
+}
+
+TEST(RngSkipNormals, LongRandomInterleavingStaysBitIdentical) {
+  Rng plan(5);
+  Rng drawn(6);
+  Rng skipped(6);
+  for (int step = 0; step < 5000; ++step) {
+    const std::size_t n = plan.uniform_index(9);
+    for (std::size_t i = 0; i < n; ++i) (void)drawn.normal();
+    skipped.skip_normals(n);
+    if (plan.bernoulli(0.3)) {
+      ASSERT_EQ(drawn.uniform(), skipped.uniform());
+    }
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(drawn.normal()),
+              std::bit_cast<std::uint64_t>(skipped.normal()))
+        << "step " << step;
+  }
 }
 
 TEST(Rng, PoissonMeanMatchesRate) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "world/featurizer.hpp"
 
@@ -136,6 +139,66 @@ TEST(FrameGenerator, BrightnessTracksStyle) {
   const Frame night_frame = generator.render(
       SceneStyle::from_attributes(night), night, {}, rng);
   EXPECT_GT(day_frame.brightness, night_frame.brightness);
+}
+
+/// skip_paint() advances an Rng exactly as painting does, from a fresh
+/// stream and from one holding a cached normal half, with and without
+/// clutter draws.
+TEST(FrameGenerator, SkipPaintLeavesTheRngWhereRenderDoes) {
+  FrameGenerator generator(12);
+  const SceneAttributes clear{Weather::kClear, Location::kUrban,
+                              TimeOfDay::kDaytime};
+  const SceneAttributes snowy{Weather::kSnowy, Location::kHighway,
+                              TimeOfDay::kNight};
+  for (const SceneAttributes& attrs : {clear, snowy}) {
+    SceneStyle style = SceneStyle::from_attributes(attrs);
+    for (double clutter : {0.0, style.clutter, 0.9}) {
+      style.clutter = clutter;
+      for (bool cached_half : {false, true}) {
+        SCOPED_TRACE("clutter " + std::to_string(clutter) + " cached " +
+                     std::to_string(cached_half));
+        Rng rendered(31);
+        Rng skipped(31);
+        if (cached_half) {
+          (void)rendered.normal();
+          (void)skipped.normal();
+        }
+        (void)generator.render(style, attrs, {}, rendered);
+        generator.skip_paint(style, skipped);
+        EXPECT_EQ(rendered.normal(), skipped.normal());
+        EXPECT_EQ(rendered.uniform(), skipped.uniform());
+        EXPECT_EQ(rendered.normal(), skipped.normal());
+        EXPECT_EQ(rendered(), skipped());
+      }
+    }
+  }
+}
+
+TEST(FrameGenerator, PaintingABlankFrameFromACopiedRngEqualsRender) {
+  FrameGenerator generator(12);
+  const SceneAttributes attrs{Weather::kRainy, Location::kUrban,
+                              TimeOfDay::kNight};
+  const SceneStyle style = SceneStyle::from_attributes(attrs);
+  Rng rng(8);
+  std::vector<ObjectInstance> objects = {generator.sample_object(style, rng),
+                                         generator.sample_object(style, rng)};
+  Rng copy = rng;
+  const Frame rendered = generator.render(style, attrs, objects, rng);
+  Frame painted = generator.blank_frame(attrs, objects);
+  generator.paint(painted, style, copy);
+  Clip a;
+  a.frames.push_back(rendered);
+  Clip b;
+  b.frames.push_back(std::move(painted));
+  EXPECT_EQ(a.content_hash(), b.content_hash());
+  EXPECT_EQ(rng(), copy());
+}
+
+TEST(FrameGenerator, PaintRejectsAFrameOfAnotherGrid) {
+  Frame frame = FrameGenerator(10).blank_frame({}, {});
+  Rng rng(1);
+  EXPECT_THROW(FrameGenerator(12).paint(frame, SceneStyle{}, rng),
+               std::invalid_argument);
 }
 
 TEST(ObjectDynamics, KeepsCentersInFrame) {
