@@ -39,6 +39,13 @@ Tensor merge_gradients(const Tensor& grad_objectness, const Tensor& grad_boxes,
   return grad;
 }
 
+/// Copies every row of `src` into `dst` from row `row` on: one block copy,
+/// as both are row-major with the same width (the caller checked shapes).
+void copy_rows(const Tensor& src, Tensor& dst, std::size_t row) {
+  const auto from = src.data();
+  std::copy(from.begin(), from.end(), dst.data().begin() + row * dst.cols());
+}
+
 }  // namespace
 
 std::size_t DetectorTrainConfig::effective_epochs(std::size_t frames) const {
@@ -68,12 +75,22 @@ DetectorTrainResult train_detector(
 
   // Featurize every frame once up front: inputs and targets are pure
   // functions of the frame, and rebuilding them per batch per epoch used
-  // to dominate the non-GEMM training profile.
+  // to dominate the non-GEMM training profile. Their shapes are checked
+  // here, once per frame, so batch assembly below is plain block copies.
+  const std::size_t features = GridDetector::input_features();
   std::vector<Tensor> cached_inputs(frames.size());
   std::vector<GridDetector::Targets> cached_targets(frames.size());
   for (std::size_t f = 0; f < frames.size(); ++f) {
     cached_inputs[f] = GridDetector::build_inputs(*frames[f]);
     cached_targets[f] = GridDetector::build_targets(*frames[f]);
+    const std::size_t cells = frames[f]->cell_count();
+    const GridDetector::Targets& targets = cached_targets[f];
+    ANOLE_CHECK(cached_inputs[f].shape() == Shape({cells, features}) &&
+                    targets.objectness.shape() == Shape({cells, 1}) &&
+                    targets.boxes.shape() == Shape({cells, 4}) &&
+                    targets.box_mask.shape() == Shape({cells, 4}),
+                "train_detector: frame ", f, " inputs/targets do not match ",
+                "its ", cells, " cells");
   }
 
   const std::size_t epochs = config.effective_epochs(frames.size());
@@ -85,34 +102,24 @@ DetectorTrainResult train_detector(
          start += config.frames_per_batch) {
       const std::size_t end =
           std::min(start + config.frames_per_batch, order.size());
-      // Stack the per-cell rows of all frames in the batch.
-      std::vector<const Tensor*> frame_inputs;
-      std::vector<const GridDetector::Targets*> frame_targets;
+      // Stack the per-cell rows of all frames in the batch: every row of
+      // all four tensors is written below, so they skip the zero-fill.
       std::size_t total_cells = 0;
       for (std::size_t k = start; k < end; ++k) {
-        frame_inputs.push_back(&cached_inputs[order[k]]);
-        frame_targets.push_back(&cached_targets[order[k]]);
         total_cells += frames[order[k]]->cell_count();
       }
-      // The assembly loop below writes every row of all four tensors, so
-      // the zero-fill of Tensor::matrix would be pure overwritten work.
-      Tensor inputs = Tensor::uninitialized(
-          Shape{total_cells, GridDetector::input_features()});
+      Tensor inputs = Tensor::uninitialized(Shape{total_cells, features});
       Tensor target_obj = Tensor::uninitialized(Shape{total_cells, 1});
       Tensor target_boxes = Tensor::uninitialized(Shape{total_cells, 4});
       Tensor box_mask = Tensor::uninitialized(Shape{total_cells, 4});
       std::size_t row = 0;
-      for (std::size_t f = 0; f < frame_inputs.size(); ++f) {
-        const std::size_t cells = frame_inputs[f]->rows();
-        for (std::size_t i = 0; i < cells; ++i, ++row) {
-          auto src = frame_inputs[f]->row(i);
-          std::copy(src.begin(), src.end(), inputs.row(row).begin());
-          target_obj.at(row, 0) = frame_targets[f]->objectness.at(i, 0);
-          for (std::size_t c = 0; c < 4; ++c) {
-            target_boxes.at(row, c) = frame_targets[f]->boxes.at(i, c);
-            box_mask.at(row, c) = frame_targets[f]->box_mask.at(i, c);
-          }
-        }
+      for (std::size_t k = start; k < end; ++k) {
+        const std::size_t f = order[k];
+        copy_rows(cached_inputs[f], inputs, row);
+        copy_rows(cached_targets[f].objectness, target_obj, row);
+        copy_rows(cached_targets[f].boxes, target_boxes, row);
+        copy_rows(cached_targets[f].box_mask, box_mask, row);
+        row += frames[f]->cell_count();
       }
 
       Tensor outputs = net.forward(inputs);

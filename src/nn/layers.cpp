@@ -6,6 +6,21 @@
 #include "util/check.hpp"
 
 namespace anole::nn {
+namespace {
+
+/// An elementwise layer's backward reads one cached element per gradient
+/// element, so the gradient must have the shape of the tensor the last
+/// forward cached (a backward before any forward sees the empty shape).
+void check_elementwise_backward(const char* layer, const Tensor& cached,
+                                const Tensor& grad_output) {
+  ANOLE_CHECK(grad_output.shape() == cached.shape(), layer,
+              "::backward: grad shape ", shape_to_string(grad_output.shape()),
+              " does not match the forward shape ",
+              shape_to_string(cached.shape()),
+              " (backward before forward?)");
+}
+
+}  // namespace
 
 Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng)
     : in_features_(in_features),
@@ -87,12 +102,16 @@ Tensor ReLU::infer(const Tensor& input) const {
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
+  check_elementwise_backward("ReLU", cached_input_, grad_output);
   Tensor grad = Tensor::uninitialized(grad_output.shape());
   auto in = cached_input_.data();
   auto go = grad_output.data();
   auto g = grad.data();
   for (std::size_t i = 0; i < g.size(); ++i) {
-    g[i] = in[i] <= 0.0f ? 0.0f : go[i];
+    // Loaded before the select, so the loop vectorizes (a conditional
+    // load would keep it scalar).
+    const float upstream = go[i];
+    g[i] = in[i] <= 0.0f ? 0.0f : upstream;
   }
   return grad;
 }
@@ -116,6 +135,7 @@ Tensor LeakyReLU::infer(const Tensor& input) const {
 }
 
 Tensor LeakyReLU::backward(const Tensor& grad_output) {
+  check_elementwise_backward("LeakyReLU", cached_input_, grad_output);
   Tensor grad = grad_output;
   auto in = cached_input_.data();
   auto g = grad.data();
@@ -145,6 +165,7 @@ Tensor Sigmoid::infer(const Tensor& input) const {
 }
 
 Tensor Sigmoid::backward(const Tensor& grad_output) {
+  check_elementwise_backward("Sigmoid", cached_output_, grad_output);
   Tensor grad = grad_output;
   auto y = cached_output_.data();
   auto g = grad.data();
@@ -167,6 +188,7 @@ Tensor Tanh::infer(const Tensor& input) const {
 }
 
 Tensor Tanh::backward(const Tensor& grad_output) {
+  check_elementwise_backward("Tanh", cached_output_, grad_output);
   Tensor grad = grad_output;
   auto y = cached_output_.data();
   auto g = grad.data();

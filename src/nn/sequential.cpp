@@ -19,8 +19,13 @@ ModulePtr Sequential::replace(std::size_t i, ModulePtr module) {
 }
 
 Tensor Sequential::forward(const Tensor& input) {
-  Tensor current = input;
-  for (auto& module : modules_) current = module->forward(current);
+  // As in infer: the first module reads the caller's batch directly (a
+  // detector training batch is ~1150 x 42 floats).
+  if (modules_.empty()) return input;
+  Tensor current = modules_.front()->forward(input);
+  for (std::size_t i = 1; i < modules_.size(); ++i) {
+    current = modules_[i]->forward(current);
+  }
   return current;
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -145,6 +146,13 @@ ANOLE_TARGET_AVX2 inline __m256i last_vector_mask(std::size_t n) {
       kTailMask + (tail == 0 ? 0 : 8 - tail)));
 }
 
+/// MXCSR fields: the sticky underflow flag, the control bits (exception
+/// masks, rounding, flush-to-zero, denormals-are-zero) and their default:
+/// every exception masked, round to nearest, no flushing.
+constexpr unsigned kMxcsrUnderflow = 0x10;
+constexpr unsigned kMxcsrControl = 0xFFC0;
+constexpr unsigned kMxcsrDefaultControl = 0x1F80;
+
 /// Narrow-output kernel: the whole C row lives in `kVecs` register
 /// accumulators across the k loop instead of a load/store round trip per
 /// k (the blocked path below is store-forwarding-bound at the skinny
@@ -160,12 +168,18 @@ ANOLE_TARGET_AVX2 inline __m256i last_vector_mask(std::size_t n) {
 /// tail call that passes one, and the dirty upper state it leaves behind
 /// makes every later SSE instruction on the thread pay a transition
 /// penalty.
-template <int kVecs, int kRows>
-ANOLE_TARGET_AVX2 void gemm_rows_avx2_narrow(std::size_t ilo, std::size_t ihi,
-                                             std::size_t k, std::size_t n,
-                                             const float* pa, std::size_t ars,
-                                             std::size_t acs, const float* pb,
-                                             float* pc) {
+///
+/// `kSkipZeros` keeps the blocked path's zero test on each A coefficient
+/// and computes every row. Without it a zero coefficient still runs its
+/// fused multiply-add (see gemm_rows_avx2_narrow_entry for when that is
+/// exact), and the kernel stops at the first row group whose run raised
+/// the underflow flag, returning its first row; it returns `ihi` when
+/// every row is done.
+template <int kVecs, int kRows, bool kSkipZeros>
+ANOLE_TARGET_AVX2 std::size_t gemm_rows_avx2_narrow(
+    std::size_t ilo, std::size_t ihi, std::size_t k, std::size_t n,
+    const float* pa, std::size_t ars, std::size_t acs, const float* pb,
+    float* pc) {
   const __m256i last_mask = last_vector_mask(n);
   std::size_t i = ilo;
   for (; i + kRows <= ihi; i += kRows) {
@@ -182,7 +196,9 @@ ANOLE_TARGET_AVX2 void gemm_rows_avx2_narrow(std::size_t ilo, std::size_t ihi,
         const float aik = pa[(i + r) * ars + kk * acs];
         // Matches the scalar kernel's zero skip: a zero coefficient must
         // contribute nothing, even against non-finite B entries.
-        if (aik == 0.0f) continue;
+        if constexpr (kSkipZeros) {
+          if (aik == 0.0f) continue;
+        }
         const __m256 va = _mm256_set1_ps(aik);
         for (int v = 0; v < kVecs; ++v) {
           acc[r][v] = _mm256_fmadd_ps(va, b[v], acc[r][v]);
@@ -196,9 +212,69 @@ ANOLE_TARGET_AVX2 void gemm_rows_avx2_narrow(std::size_t ilo, std::size_t ihi,
       }
       _mm256_maskstore_ps(crow + 8 * (kVecs - 1), last_mask, acc[r][kVecs - 1]);
     }
+    if constexpr (!kSkipZeros) {
+      if ((_mm_getcsr() & kMxcsrUnderflow) != 0) return i;
+    }
   }
   if constexpr (kRows > 1) {
-    gemm_rows_avx2_narrow<kVecs, 1>(i, ihi, k, n, pa, ars, acs, pb, pc);
+    return gemm_rows_avx2_narrow<kVecs, 1, kSkipZeros>(i, ihi, k, n, pa, ars,
+                                                       acs, pb, pc);
+  }
+  return ihi;
+}
+
+/// True when none of the `count` floats at `p` is infinite or NaN: one
+/// compare per eight lanes, the last vector masked.
+ANOLE_TARGET_AVX2 bool all_finite(const float* p, std::size_t count) {
+  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+  const __m256 inf = _mm256_set1_ps(std::numeric_limits<float>::infinity());
+  // |x| < inf is false for ±inf and (unordered) NaN.
+  __m256 finite = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+  std::size_t t = 0;
+  for (; t + 8 <= count; t += 8) {
+    finite = _mm256_and_ps(
+        finite, _mm256_cmp_ps(_mm256_and_ps(_mm256_loadu_ps(p + t), abs_mask),
+                              inf, _CMP_LT_OQ));
+  }
+  if (t < count) {
+    // Masked-off lanes read as 0, which is finite.
+    const __m256 tail = _mm256_maskload_ps(p + t, last_vector_mask(count));
+    finite = _mm256_and_ps(
+        finite, _mm256_cmp_ps(_mm256_and_ps(tail, abs_mask), inf, _CMP_LT_OQ));
+  }
+  return _mm256_movemask_ps(finite) == 0xFF;
+}
+
+/// Narrow entry for one row-group shape: runs rows without the zero test
+/// wherever that gives the skipping loop's bits (DESIGN.md §13). The
+/// accumulators start at +0, and with every B entry finite a zero
+/// coefficient adds a ±0 product, which leaves any accumulator but −0
+/// unchanged. In the default floating-point environment an accumulator
+/// only becomes −0 when an FMA rounds a nonzero result to zero, and that
+/// raises the sticky underflow flag. So the flag is cleared first, and
+/// from the first row group whose run raised it the rows are recomputed
+/// with the zero test; the caller's flag is restored on top. A call with a
+/// single row group (the per-frame m = 1 serving GEMMs, whose B is a
+/// whole weight matrix) keeps the zero test rather than pay a pass over B.
+template <int kVecs, int kRows>
+ANOLE_TARGET_AVX2 void gemm_rows_avx2_narrow_entry(
+    std::size_t ilo, std::size_t ihi, std::size_t k, std::size_t n,
+    const float* pa, std::size_t ars, std::size_t acs, const float* pb,
+    float* pc) {
+  std::size_t done = ilo;
+  if (ihi - ilo > static_cast<std::size_t>(kRows)) {
+    const unsigned csr = _mm_getcsr();
+    if ((csr & kMxcsrControl) == kMxcsrDefaultControl &&
+        all_finite(pb, k * n)) {
+      _mm_setcsr(csr & ~kMxcsrUnderflow);
+      done = gemm_rows_avx2_narrow<kVecs, kRows, false>(ilo, ihi, k, n, pa,
+                                                        ars, acs, pb, pc);
+      _mm_setcsr(_mm_getcsr() | (csr & kMxcsrUnderflow));
+    }
+  }
+  if (done < ihi) {
+    gemm_rows_avx2_narrow<kVecs, kRows, true>(done, ihi, k, n, pa, ars, acs,
+                                              pb, pc);
   }
 }
 
@@ -212,28 +288,36 @@ void gemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t k,
     // registers; wider outputs drop to fewer rows per group.
     switch ((n + 7) / 8) {
       case 1:
-        gemm_rows_avx2_narrow<1, 8>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
+        gemm_rows_avx2_narrow_entry<1, 8>(ilo, ihi, k, n, pa, ars, acs,
+                                          pb, pc);
         return;
       case 2:
-        gemm_rows_avx2_narrow<2, 6>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
+        gemm_rows_avx2_narrow_entry<2, 6>(ilo, ihi, k, n, pa, ars, acs,
+                                          pb, pc);
         return;
       case 3:
-        gemm_rows_avx2_narrow<3, 3>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
+        gemm_rows_avx2_narrow_entry<3, 3>(ilo, ihi, k, n, pa, ars, acs,
+                                          pb, pc);
         return;
       case 4:
-        gemm_rows_avx2_narrow<4, 2>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
+        gemm_rows_avx2_narrow_entry<4, 2>(ilo, ihi, k, n, pa, ars, acs,
+                                          pb, pc);
         return;
       case 5:
-        gemm_rows_avx2_narrow<5, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
+        gemm_rows_avx2_narrow_entry<5, 1>(ilo, ihi, k, n, pa, ars, acs,
+                                          pb, pc);
         return;
       case 6:
-        gemm_rows_avx2_narrow<6, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
+        gemm_rows_avx2_narrow_entry<6, 1>(ilo, ihi, k, n, pa, ars, acs,
+                                          pb, pc);
         return;
       case 7:
-        gemm_rows_avx2_narrow<7, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
+        gemm_rows_avx2_narrow_entry<7, 1>(ilo, ihi, k, n, pa, ars, acs,
+                                          pb, pc);
         return;
       default:
-        gemm_rows_avx2_narrow<8, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc);
+        gemm_rows_avx2_narrow_entry<8, 1>(ilo, ihi, k, n, pa, ars, acs,
+                                          pb, pc);
         return;
     }
   }

@@ -68,7 +68,11 @@ const char* level_name(Level level);
 /// [0, k) depth extent, with A read as pa[i*a_row_stride +
 /// kk*a_col_stride] (serves matmul and both transposed entry points).
 /// Cache blocking and the zero-skip on A elements are identical at every
-/// level; each output element accumulates in ascending kk order.
+/// level; each output element accumulates in ascending kk order. The AVX2
+/// narrow kernels (n <= 64) drop the zero test only where that leaves
+/// every bit as the skip would: all of B finite, the default MXCSR
+/// control bits, and no underflow in the rows run that way (they clear
+/// the thread's sticky underflow flag to watch for it, then restore it).
 void gemm_rows(Level level, std::size_t ilo, std::size_t ihi, std::size_t k,
                std::size_t n, const float* pa, std::size_t a_row_stride,
                std::size_t a_col_stride, const float* pb, float* pc);

@@ -302,18 +302,23 @@ void add_row_broadcast(Tensor& matrix, const Tensor& row_vector) {
               "add_row_broadcast: bias shape mismatch ",
               shape_to_string(row_vector.shape()), " for matrix ",
               shape_to_string(matrix.shape()));
-  for (std::size_t r = 0; r < matrix.rows(); ++r) {
-    auto row = matrix.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) row[c] += row_vector[c];
+  // The checks above cover every row: walk raw pointers from here.
+  const std::size_t cols = matrix.cols();
+  float* row = matrix.data().data();
+  const float* bias = row_vector.data().data();
+  for (std::size_t r = 0; r < matrix.rows(); ++r, row += cols) {
+    for (std::size_t c = 0; c < cols; ++c) row[c] += bias[c];
   }
 }
 
 Tensor sum_rows(const Tensor& matrix) {
   ANOLE_CHECK_EQ(matrix.rank(), 2u, "sum_rows: rank != 2");
-  Tensor out(Shape{matrix.cols()});
-  for (std::size_t r = 0; r < matrix.rows(); ++r) {
-    auto row = matrix.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) out[c] += row[c];
+  const std::size_t cols = matrix.cols();
+  Tensor out(Shape{cols});
+  float* sums = out.data().data();
+  const float* row = matrix.data().data();
+  for (std::size_t r = 0; r < matrix.rows(); ++r, row += cols) {
+    for (std::size_t c = 0; c < cols; ++c) sums[c] += row[c];
   }
   return out;
 }

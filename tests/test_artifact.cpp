@@ -478,40 +478,52 @@ TEST_F(ArtifactTest, V3QuantizedRoundTripBitIdentical) {
   }
 }
 
+/// Payload sizes of the model sections, in model order.
+std::vector<std::size_t> model_section_sizes(const std::string& blob) {
+  std::vector<std::size_t> sizes;
+  for (const SectionInfo& section : parse_sections(blob)) {
+    if (section.tag == kModelSectionTag) sizes.push_back(section.payload_size);
+  }
+  return sizes;
+}
+
+/// The quantize guard may keep a detector at fp32 (on this system it
+/// does), so the size claims are checked on the detectors it did
+/// convert.
 TEST_F(ArtifactTest, QuantizedModelSectionsShrink) {
   AnoleSystem quantized = private_copy(*system_);
   attach_validation_pools(quantized, *system_);
   const QuantizeReport report = quantize_system(quantized);
-  if (report.rejected_detectors != 0) {
-    GTEST_SKIP() << "a detector failed its guard; size ratio not comparable";
-  }
   std::stringstream fp32_stream;
   save_system(*system_, fp32_stream, 2);
   const std::string fp32_blob = fp32_stream.str();
   const std::string quant_blob = serialized_blob(quantized);
+  const std::vector<std::size_t> fp32_sizes = model_section_sizes(fp32_blob);
+  const std::vector<std::size_t> quant_sizes = model_section_sizes(quant_blob);
+  ASSERT_EQ(fp32_sizes.size(), system_->model_count());
+  ASSERT_EQ(quant_sizes.size(), system_->model_count());
 
-  const auto sum_model_bytes = [](const std::string& blob) {
-    std::size_t total = 0;
-    for (const SectionInfo& section : parse_sections(blob)) {
-      if (section.tag == kModelSectionTag) total += section.payload_size;
-    }
-    return total;
-  };
-  const double fp32_bytes =
-      static_cast<double>(sum_model_bytes(fp32_blob));
-  const double quant_bytes =
-      static_cast<double>(sum_model_bytes(quant_blob));
-  ASSERT_GT(quant_bytes, 0.0);
+  double fp32_bytes = 0.0;
+  double quant_bytes = 0.0;
+  std::size_t converted = 0;
+  for (std::size_t m = 0; m < quantized.model_count(); ++m) {
+    detect::GridDetector& detector = quantized.repository.detector(m);
+    if (!nn::is_quantized(detector.network())) continue;
+    ++converted;
+    fp32_bytes += static_cast<double>(fp32_sizes[m]);
+    quant_bytes += static_cast<double>(quant_sizes[m]);
+    // ModelCache / DeviceSession accounting shrinks with them.
+    EXPECT_LT(detector.weight_bytes() * 3,
+              system_->repository.detector(m).weight_bytes())
+        << "model " << m;
+  }
+  ASSERT_GE(converted, 1u);
+  EXPECT_EQ(converted, report.quantized_detectors);
+  EXPECT_EQ(converted + report.rejected_detectors, quantized.model_count());
   // The headline artifact-v3 claim: quantized model sections stream at
   // least 3.5x fewer bytes than their fp32 v2 counterparts.
   EXPECT_GE(fp32_bytes / quant_bytes, 3.5);
   EXPECT_LT(quant_blob.size(), fp32_blob.size());
-
-  // ModelCache / DeviceSession accounting shrinks with them.
-  for (std::size_t m = 0; m < quantized.model_count(); ++m) {
-    EXPECT_LT(quantized.repository.detector(m).weight_bytes() * 3,
-              system_->repository.detector(m).weight_bytes());
-  }
   EXPECT_LT(quantized.decision->head_weight_bytes(),
             system_->decision->head_weight_bytes());
 }

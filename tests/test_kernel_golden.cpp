@@ -329,5 +329,33 @@ TEST(KernelGolden, MicroWorldArtifactAtAvx2) {
   expect_micro_artifact(simd::Level::kAVX2, 45'143, 0x2C2A04B14D4C1C0AULL);
 }
 
+/// The standard world and profiler configuration every repository bench
+/// and the perfbench workloads train (bench/common.hpp): ~2700 frames,
+/// n = 19 compressed models, ASS budget 1200, profiled from
+/// Rng(splitmix64(1)). This is the artifact quoted as the equivalence
+/// witness for every change to offline profiling, pinned here so nobody
+/// recomputes it by hand.
+TEST(KernelGolden, StandardWorldArtifactAtAvx2) {
+  if (simd::active_level() != simd::Level::kAVX2) {
+    GTEST_SKIP() << "active SIMD level is not avx2";
+  }
+  world::WorldConfig world_config;
+  world_config.frames_per_clip = 90;
+  world_config.clip_scale = 0.4;
+  world_config.seed = 1234;
+  core::ProfilerConfig profiler_config;
+  profiler_config.repository.target_models = 19;
+  profiler_config.sampling.budget = 1200;
+  const world::World world = world::make_benchmark_world(world_config);
+  // splitmix64 of seed 1, as perfbench derives its profiler seed.
+  Rng rng(0x910A2DEC89025CC1ULL);
+  core::AnoleSystem system =
+      core::OfflineProfiler(profiler_config).run(world, rng);
+  std::ostringstream out;
+  core::save_system(system, out);
+  EXPECT_EQ(out.str().size(), 93'941u);
+  EXPECT_EQ(fnv1a_bytes(out.str()), 0xB4333E9EB85EA454ULL);
+}
+
 }  // namespace
 }  // namespace anole

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/scene_encoder.hpp"
 #include "nn/loss.hpp"
@@ -126,6 +130,65 @@ TEST(ReLU, BackwardMasksNegatives) {
   EXPECT_EQ(gin[0], 0.0f);
   EXPECT_EQ(gin[1], 5.0f);
   EXPECT_EQ(gin[2], 5.0f);
+}
+
+std::uint32_t float_bits(float value) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// ReLU backward passes the upstream gradient through exactly where the
+/// forward input is > 0 or NaN (`NaN <= 0` is false) and writes +0 where
+/// it is <= 0, ±0 and -inf included. The upstream values carry a sign
+/// and a payload, so a select that rounds, flips a sign or swaps operands
+/// shows in the bits. 35 elements: four 8-lane vectors and a tail.
+TEST(ReLU, BackwardSelectsUpstreamBitwise) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> specials = {nan,  -nan, 0.0f,  -0.0f, inf,
+                                       -inf, 1.0f, -1.0f, 1e-45f, -1e-45f};
+  std::vector<float> input(35);
+  std::vector<float> upstream(35);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    input[i] = specials[i % specials.size()];
+    upstream[i] = specials[(3 * i + 1) % specials.size()] * 0.75f -
+                  static_cast<float>(i);
+  }
+  upstream[6] = -0.0f;
+  upstream[7] = nan;
+  ReLU relu;
+  (void)relu.forward(Tensor(Shape{5, 7}, input));
+  const Tensor grad = relu.backward(Tensor(Shape{5, 7}, upstream));
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    const float expected = input[i] > 0.0f || std::isnan(input[i])
+                               ? upstream[i]
+                               : 0.0f;
+    EXPECT_EQ(float_bits(grad[i]), float_bits(expected))
+        << "input " << input[i] << " upstream " << upstream[i];
+  }
+}
+
+/// Every elementwise activation reads one cached element per gradient
+/// element: a backward before any forward, or with another batch shape
+/// than the last forward, must throw instead of reading out of bounds.
+TEST(ElementwiseLayers, BackwardRejectsShapeOtherThanForward) {
+  std::vector<std::pair<std::string, ModulePtr>> layers;
+  layers.emplace_back("ReLU", std::make_unique<ReLU>());
+  layers.emplace_back("LeakyReLU", std::make_unique<LeakyReLU>(0.1f));
+  layers.emplace_back("Sigmoid", std::make_unique<Sigmoid>());
+  layers.emplace_back("Tanh", std::make_unique<Tanh>());
+  for (auto& [name, layer] : layers) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW((void)layer->backward(Tensor::matrix(2, 3)),
+                 std::invalid_argument);
+    (void)layer->forward(Tensor::matrix(2, 3, 0.5f));
+    EXPECT_THROW((void)layer->backward(Tensor::matrix(4, 3)),
+                 std::invalid_argument);
+    EXPECT_THROW((void)layer->backward(Tensor::matrix(3, 2)),
+                 std::invalid_argument);
+    EXPECT_EQ(layer->backward(Tensor::matrix(2, 3, 1.0f)).size(), 6u);
+  }
 }
 
 TEST(LeakyReLU, NegativeSlope) {

@@ -116,18 +116,23 @@ TEST(GatherRows, SelectsRows) {
   EXPECT_EQ(g.at(1, 1), 2.0f);
 }
 
-/// Algorithm 1's detector step on the micro world: two epochs over 40
-/// training frames. The digest folds the bits of every epoch loss and
-/// every final weight; the golden values were recorded with the full
-/// backward pass in the loop, so the parameter-only backward must leave
-/// training bit-for-bit unchanged.
-TEST(DetectorTrainerGolden, MicroWorldLossesAndWeightsUnchanged) {
-  SimdLevelGuard guard(simd::Level::kScalar);
+/// Bits of a trained detector: every epoch loss and every final weight
+/// folded into one digest, and the training Rng's next draw.
+struct TrainedBits {
+  std::uint64_t digest = 0;
+  std::uint64_t next_draw = 0;
+};
+
+/// Trains a compressed detector for two epochs on the first `frame_count`
+/// micro-world training frames at `level`.
+void train_micro_detector(simd::Level level, std::size_t frame_count,
+                          TrainedBits& out) {
+  SimdLevelGuard guard(level);
   const world::World world = world::make_benchmark_world(micro_world_config());
   const auto train = world.frames_with_role(world::SplitRole::kTrain);
-  ASSERT_GE(train.size(), 40u);
+  ASSERT_GE(train.size(), frame_count);
   const std::vector<const world::Frame*> frames(train.begin(),
-                                                train.begin() + 40);
+                                                train.begin() + frame_count);
   Rng rng(11);
   detect::GridDetector detector(detect::GridDetectorConfig::compressed(),
                                 rng);
@@ -149,8 +154,35 @@ TEST(DetectorTrainerGolden, MicroWorldLossesAndWeightsUnchanged) {
       digest.mix(bits);
     }
   }
-  EXPECT_EQ(digest.value(), 0x561e266b107f333dULL);
-  EXPECT_EQ(rng(), 16482541442581881830ULL);
+  out.digest = digest.value();
+  out.next_draw = rng();
+}
+
+/// Algorithm 1's detector step on the micro world: two epochs over 40
+/// training frames. The golden values were recorded with the full
+/// backward pass in the loop, so the parameter-only backward must leave
+/// training bit-for-bit unchanged.
+TEST(DetectorTrainerGolden, MicroWorldLossesAndWeightsUnchanged) {
+  TrainedBits bits;
+  ASSERT_NO_FATAL_FAILURE(
+      train_micro_detector(simd::Level::kScalar, 40, bits));
+  EXPECT_EQ(bits.digest, 0x561e266b107f333dULL);
+  EXPECT_EQ(bits.next_draw, 16482541442581881830ULL);
+}
+
+/// The same step at the AVX2 level, on 43 frames: five full batches of
+/// eight and a partial batch of three, so the last batch's assembly is
+/// pinned too. Recorded before the narrow GEMM dropped its zero test for
+/// finite B, ReLU backward was vectorized and batches were assembled with
+/// one block copy per frame.
+TEST(DetectorTrainerGolden, MicroWorldLossesAndWeightsUnchangedAtAvx2) {
+  if (simd::detected_level() < simd::Level::kAVX2) {
+    GTEST_SKIP() << "host lacks AVX2";
+  }
+  TrainedBits bits;
+  ASSERT_NO_FATAL_FAILURE(train_micro_detector(simd::Level::kAVX2, 43, bits));
+  EXPECT_EQ(bits.digest, 0x2fefffa371042dfdULL);
+  EXPECT_EQ(bits.next_draw, 6908848484478381164ULL);
 }
 
 }  // namespace
