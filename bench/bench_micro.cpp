@@ -11,7 +11,7 @@
 // report 1/2/4 pool-thread "thread_scaling" sections. The suite verifies
 // bitwise thread-count invariance everywhere, plus bitwise *level*
 // invariance for the int8 and k-means paths, then times the
-// post-training quantize/dequantize pass and fp32-v2 vs quantized-v3
+// post-training quantize/dequantize pass and fp32 vs int8-quantized
 // artifact loads on the OSP system, and writes the numbers with their
 // provenance (the configure-time commit, every ANOLE_* variable set, and
 // the detected and active SIMD levels) to BENCH_micro.json in the
@@ -319,17 +319,17 @@ double time_featurize(int reps, int iters) {
   });
 }
 
-/// Quantize/dequantize pass wall time plus fp32-v2 vs quantized-v3
+/// Quantize/dequantize pass wall time plus fp32 vs int8-quantized
 /// artifact bytes and load latency on the OSP-trained system.
 struct QuantArtifactSample {
   double quantize_seconds = 0.0;
   double dequantize_seconds = 0.0;
   std::size_t quantized_detectors = 0;
   std::size_t rejected_detectors = 0;
-  std::size_t v2_bytes = 0;
-  std::size_t v3_bytes = 0;
-  double v2_load_seconds = 0.0;
-  double v3_load_seconds = 0.0;
+  std::size_t fp32_bytes = 0;
+  std::size_t quantized_bytes = 0;
+  double fp32_load_seconds = 0.0;
+  double quantized_load_seconds = 0.0;
 };
 
 double time_artifact_load(const std::string& blob, int reps) {
@@ -346,11 +346,11 @@ double time_artifact_load(const std::string& blob, int reps) {
 
 QuantArtifactSample time_quant_artifact(core::AnoleSystem& system) {
   QuantArtifactSample sample;
-  std::ostringstream v2(std::ios::binary);
-  core::save_system(system, v2, 2);
-  const std::string v2_blob = v2.str();
-  sample.v2_bytes = v2_blob.size();
-  sample.v2_load_seconds = time_artifact_load(v2_blob, 3);
+  std::ostringstream fp32(std::ios::binary);
+  core::save_system(system, fp32);
+  const std::string fp32_blob = fp32.str();
+  sample.fp32_bytes = fp32_blob.size();
+  sample.fp32_load_seconds = time_artifact_load(fp32_blob, 3);
 
   auto start = std::chrono::steady_clock::now();
   const core::QuantizeReport report = core::quantize_system(system);
@@ -358,11 +358,11 @@ QuantArtifactSample time_quant_artifact(core::AnoleSystem& system) {
   sample.quantized_detectors = report.quantized_detectors;
   sample.rejected_detectors = report.rejected_detectors;
 
-  std::ostringstream v3(std::ios::binary);
-  core::save_system(system, v3, core::kArtifactVersion);
-  const std::string v3_blob = v3.str();
-  sample.v3_bytes = v3_blob.size();
-  sample.v3_load_seconds = time_artifact_load(v3_blob, 3);
+  std::ostringstream quantized(std::ios::binary);
+  core::save_system(system, quantized);
+  const std::string quantized_blob = quantized.str();
+  sample.quantized_bytes = quantized_blob.size();
+  sample.quantized_load_seconds = time_artifact_load(quantized_blob, 3);
 
   start = std::chrono::steady_clock::now();
   (void)core::dequantize_system(system);
@@ -557,7 +557,7 @@ int run_json_suite() {
   const OspSample osp_a4 = time_osp(&osp_out);
 
   std::fprintf(stderr,
-               "[bench_micro] quantize pass + artifact v2/v3 loads...\n");
+               "[bench_micro] quantize pass + fp32/int8 artifact loads...\n");
   const QuantArtifactSample quant = time_quant_artifact(osp_out->system);
   // time_quant_artifact leaves the system dequantized; re-quantize it
   // (untimed) so the engine bench serves the production int8 fast path
@@ -679,15 +679,16 @@ int run_json_suite() {
                quant.rejected_detectors);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"artifact_load\": {\n");
-  std::fprintf(out, "    \"v2_fp32_bytes\": %zu,\n", quant.v2_bytes);
-  std::fprintf(out, "    \"v3_quantized_bytes\": %zu,\n", quant.v3_bytes);
+  std::fprintf(out, "    \"fp32_bytes\": %zu,\n", quant.fp32_bytes);
+  std::fprintf(out, "    \"v3_quantized_bytes\": %zu,\n",
+               quant.quantized_bytes);
   std::fprintf(out, "    \"bytes_ratio\": %.4f,\n",
-               static_cast<double>(quant.v2_bytes) /
-                   static_cast<double>(quant.v3_bytes));
-  std::fprintf(out, "    \"v2_load_seconds\": %.6f,\n",
-               quant.v2_load_seconds);
+               static_cast<double>(quant.fp32_bytes) /
+                   static_cast<double>(quant.quantized_bytes));
+  std::fprintf(out, "    \"fp32_load_seconds\": %.6f,\n",
+               quant.fp32_load_seconds);
   std::fprintf(out, "    \"v3_load_seconds\": %.6f\n",
-               quant.v3_load_seconds);
+               quant.quantized_load_seconds);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"kmeans_2000x48_k16\": {\n");
   std::fprintf(out, "    \"seconds_scalar_1t\": %.6f,\n",
@@ -742,16 +743,16 @@ int run_json_suite() {
                "(%.2fx), qgemm int8 %.1fus -> %.1fus (%.2fx), kmeans "
                "%.3fs -> %.3fs (%.2fx), OSP %.1fs -> %.1fs (%.2fx), "
                "engine batch %.2fs -> %.2fs (%.2fx, %.0f fps), artifact "
-               "v2 %zuB/%.3fs vs v3 %zuB/%.3fs\n",
+               "fp32 %zuB/%.3fs vs int8 %zuB/%.3fs\n",
                simd::level_name(active), scalar_1t.matmul.gflops,
                active_4t.matmul.gflops, matmul_speedup,
                scalar_1t.qgemm.int8_us, active_4t.qgemm.int8_us,
                qgemm_speedup, scalar_1t.kmeans.seconds,
                active_4t.kmeans.seconds, kmeans_speedup, osp_s1.seconds,
                osp_a4.seconds, osp_speedup, eng_s1.seconds, eng_a4.seconds,
-               engine_speedup, eng_a4.fps, quant.v2_bytes,
-               quant.v2_load_seconds, quant.v3_bytes,
-               quant.v3_load_seconds);
+               engine_speedup, eng_a4.fps, quant.fp32_bytes,
+               quant.fp32_load_seconds, quant.quantized_bytes,
+               quant.quantized_load_seconds);
   std::fprintf(stderr,
                "[bench_micro] determinism %s, speedup floors %s; wrote "
                "BENCH_micro.json\n",

@@ -3,10 +3,10 @@
 //
 // Trains the standard Anole stack, measures the fp32 arm (per-frame
 // decision+detector inference latency, end-to-end engine F1 over the test
-// split, artifact v2 bytes and model-section bytes, simulated cache-miss
+// split, artifact bytes and model-section bytes, simulated cache-miss
 // load time on TX2 NX), quantizes the system in place through the
 // repository's accuracy guard, and repeats the measurements on the int8
-// arm with artifact v3. The headline ratios the fast path must hold:
+// arm. The headline ratios the fast path must hold:
 // per-frame inference speedup >= 2x at equal thread count, model sections
 // >= 3.5x smaller, F1 within 0.01 of fp32 — plus bitwise-identical
 // quantized detections at 1 vs 4 pool threads. The exit code reflects the
@@ -73,7 +73,6 @@ struct PrecisionSample {
 
 PrecisionSample measure_arm(core::AnoleSystem& system,
                             const std::vector<const world::Frame*>& frames,
-                            std::uint32_t artifact_version,
                             const device::MemoryModel& memory,
                             const device::DeviceProfile& profile) {
   PrecisionSample sample;
@@ -138,7 +137,7 @@ PrecisionSample measure_arm(core::AnoleSystem& system,
   sample.frame_us = best / static_cast<double>(frames.size()) * 1e6;
 
   std::ostringstream blob(std::ios::binary);
-  core::save_system(system, blob, artifact_version);
+  core::save_system(system, blob);
   const std::string bytes = blob.str();
   sample.artifact_bytes = bytes.size();
   sample.model_bytes = model_section_bytes(bytes);
@@ -167,7 +166,7 @@ int main() {
   std::fprintf(stderr, "[bench_quant] fp32 arm over %zu test frames...\n",
                test_frames.size());
   const PrecisionSample fp32 =
-      measure_arm(stack.system, test_frames, 2, memory, tx2);
+      measure_arm(stack.system, test_frames, memory, tx2);
 
   const auto quant_start = std::chrono::steady_clock::now();
   const core::QuantizeReport report = core::quantize_system(stack.system);
@@ -177,8 +176,8 @@ int main() {
                "guard) in %.2fs; int8 arm...\n",
                report.quantized_detectors, report.rejected_detectors,
                quantize_seconds);
-  const PrecisionSample int8 = measure_arm(
-      stack.system, test_frames, core::kArtifactVersion, memory, tx2);
+  const PrecisionSample int8 =
+      measure_arm(stack.system, test_frames, memory, tx2);
 
   // Bitwise determinism of the quantized engine at 1 vs 4 pool threads.
   const std::size_t check_frames =

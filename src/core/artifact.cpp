@@ -1,5 +1,6 @@
 #include "core/artifact.hpp"
 
+#include <algorithm>
 #include <array>
 #include <fstream>
 #include <sstream>
@@ -13,23 +14,25 @@ namespace {
 
 constexpr std::array<char, 8> kMagic = {'A', 'N', 'O', 'L',
                                         'E', 'S', 'Y', 'S'};
-constexpr std::uint32_t kVersionLegacy = 1;
-constexpr std::uint32_t kVersionSections = 2;
+// The one artifact format this build writes and reads.
+constexpr std::uint32_t kArtifactVersion = 3;
 
 using nn::read_pod;
 using nn::try_read_pod;
 using nn::write_pod;
 
-// v2 section tags. Vital sections are written first so tail truncation
+// Section tags. Vital sections are written first so tail truncation
 // can only damage model sections.
 constexpr std::uint32_t kSectionSceneIndex = 1;
 constexpr std::uint32_t kSectionEncoder = 2;
 constexpr std::uint32_t kSectionDecision = 3;
 constexpr std::uint32_t kSectionModel = 4;
 
-// Upper bound on a single section payload; a corrupted size field must
-// not turn into a multi-gigabyte allocation.
+// Upper bound on a single section payload; a larger size field is
+// corruption. Payloads are read in kReadChunkBytes steps, so a corrupted
+// size below this bound costs only the bytes the stream really holds.
 constexpr std::uint64_t kMaxSectionBytes = 1ull << 30;
+constexpr std::size_t kReadChunkBytes = 1 << 16;
 
 void write_string(std::ostream& out, const std::string& value) {
   write_pod(out, static_cast<std::uint32_t>(value.size()));
@@ -61,9 +64,10 @@ std::vector<std::size_t> read_size_vector(std::istream& in) {
   return values;
 }
 
-// --- section payloads (shared between the v1 inline layout and the v2
-// sectioned layout; each function reads/writes exactly one logical unit
-// from the given stream) ---
+// --- section payloads: each function reads/writes exactly one logical
+// unit from the given stream. Model and decision sections use narrow
+// metadata fields plus the precision-tagged nn::save_network body; the
+// encoder keeps the fp32 ANOLEWTS parameter walk. ---
 
 void write_scene_index(std::ostream& out, AnoleSystem& system) {
   write_size_vector(out, system.scene_index.semantic_ids());
@@ -95,53 +99,15 @@ void read_encoder(std::istream& in, AnoleSystem& system, Rng& rng) {
   nn::load_parameters(*system.encoder, in);
 }
 
-void write_model(std::ostream& out, SceneModel& model) {
-  write_string(out, model.name);
-  write_size_vector(out, model.scene_classes);
-  write_pod(out, model.validation_f1);
-  write_pod(out, static_cast<std::uint64_t>(model.cluster_k));
-  const auto& config = model.detector->config();
-  write_pod(out, static_cast<std::uint64_t>(model.detector->grid_size()));
-  write_size_vector(out, config.hidden);
-  write_pod(out, config.confidence_threshold);
-  write_pod(out, config.nms_threshold);
-  write_pod(out, config.nms_center_distance);
-  nn::save_parameters(model.detector->network(), out);
-}
-
-SceneModel read_model(std::istream& in, Rng& rng) {
-  SceneModel model;
-  model.name = read_string(in);
-  model.scene_classes = read_size_vector(in);
-  model.validation_f1 = read_pod<double>(in);
-  model.cluster_k = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  const auto grid_size =
-      static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  detect::GridDetectorConfig config;
-  config.hidden = read_size_vector(in);
-  config.confidence_threshold = read_pod<double>(in);
-  config.nms_threshold = read_pod<double>(in);
-  config.nms_center_distance = read_pod<double>(in);
-  config.name = model.name;
-  model.detector =
-      std::make_unique<detect::GridDetector>(config, rng, grid_size);
-  nn::load_parameters(model.detector->network(), in);
-  return model;
-}
-
-// --- v3 compact payloads: narrow metadata fields plus the precision-
-// tagged nn::save_network body. The framing (sections, CRCs, recovery)
-// is identical to v2; only the payload encoding differs. ---
-
 void write_u16_vector(std::ostream& out,
                       const std::vector<std::size_t>& values) {
   if (values.size() > 0xFFFF) {
-    throw std::runtime_error("save_system: vector too long for v3");
+    throw std::runtime_error("save_system: vector too long for a u16 field");
   }
   write_pod(out, static_cast<std::uint16_t>(values.size()));
   for (std::size_t v : values) {
     if (v > 0xFFFF) {
-      throw std::runtime_error("save_system: value too large for v3");
+      throw std::runtime_error("save_system: value too large for a u16 field");
     }
     write_pod(out, static_cast<std::uint16_t>(v));
   }
@@ -156,7 +122,7 @@ std::vector<std::size_t> read_u16_vector(std::istream& in) {
   return values;
 }
 
-void write_model_v3(std::ostream& out, SceneModel& model) {
+void write_model(std::ostream& out, SceneModel& model) {
   write_string(out, model.name);
   write_u16_vector(out, model.scene_classes);
   write_pod(out, model.validation_f1);
@@ -170,7 +136,7 @@ void write_model_v3(std::ostream& out, SceneModel& model) {
   nn::save_network(model.detector->network(), out);
 }
 
-SceneModel read_model_v3(std::istream& in, Rng& rng) {
+SceneModel read_model(std::istream& in, Rng& rng) {
   SceneModel model;
   model.name = read_string(in);
   model.scene_classes = read_u16_vector(in);
@@ -190,14 +156,14 @@ SceneModel read_model_v3(std::istream& in, Rng& rng) {
   return model;
 }
 
-void write_decision_v3(std::ostream& out, AnoleSystem& system) {
+void write_decision(std::ostream& out, AnoleSystem& system) {
   write_pod(out,
             static_cast<std::uint16_t>(system.decision->config().hidden_width));
   write_pod(out, static_cast<std::uint16_t>(system.decision->model_count()));
   nn::save_network(system.decision->head(), out);
 }
 
-void read_decision_v3(std::istream& in, AnoleSystem& system, Rng& rng) {
+void read_decision(std::istream& in, AnoleSystem& system, Rng& rng) {
   DecisionModelConfig decision_config;
   decision_config.hidden_width =
       static_cast<std::size_t>(read_pod<std::uint16_t>(in));
@@ -205,35 +171,6 @@ void read_decision_v3(std::istream& in, AnoleSystem& system, Rng& rng) {
   system.decision = std::make_unique<DecisionModel>(
       *system.encoder, decision_models, decision_config, rng);
   nn::load_network(system.decision->head(), in);
-}
-
-/// True when any network in the system carries a quantized layer; v1/v2
-/// writers must reject such systems (their fp32 parameter walk would
-/// silently drop quantized weights).
-bool any_quantized(AnoleSystem& system) {
-  for (std::size_t m = 0; m < system.repository.size(); ++m) {
-    if (nn::is_quantized(system.repository.model(m).detector->network())) {
-      return true;
-    }
-  }
-  return system.decision && nn::is_quantized(system.decision->head());
-}
-
-void write_decision(std::ostream& out, AnoleSystem& system) {
-  write_pod(out,
-            static_cast<std::uint64_t>(system.decision->config().hidden_width));
-  write_pod(out, static_cast<std::uint32_t>(system.decision->model_count()));
-  nn::save_parameters(system.decision->head(), out);
-}
-
-void read_decision(std::istream& in, AnoleSystem& system, Rng& rng) {
-  DecisionModelConfig decision_config;
-  decision_config.hidden_width =
-      static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  const auto decision_models = read_pod<std::uint32_t>(in);
-  system.decision = std::make_unique<DecisionModel>(
-      *system.encoder, decision_models, decision_config, rng);
-  nn::load_parameters(system.decision->head(), in);
 }
 
 /// Stand-in for a model whose artifact section was damaged. It keeps the
@@ -248,7 +185,7 @@ SceneModel make_placeholder_model(std::size_t model_id, Rng& rng) {
   return model;
 }
 
-/// Serializes one logical unit into a buffer and emits it as a v2 section:
+/// Serializes one logical unit into a buffer and emits it as a section:
 /// u32 tag, u64 payload size, u32 CRC-32 of the payload, payload bytes.
 template <typename WriteBody>
 void write_section(std::ostream& out, std::uint32_t tag, WriteBody&& body) {
@@ -261,57 +198,25 @@ void write_section(std::ostream& out, std::uint32_t tag, WriteBody&& body) {
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
 }
 
-void save_system_v1(AnoleSystem& system, std::ostream& out) {
-  write_scene_index(out, system);
-  write_encoder(out, system);
-  write_pod(out, static_cast<std::uint32_t>(system.repository.size()));
-  for (std::size_t m = 0; m < system.repository.size(); ++m) {
-    write_model(out, system.repository.model(m));
+/// Reads up to `size` payload bytes into `payload`, growing it one chunk
+/// at a time as bytes arrive. Returns false when the stream ends first;
+/// `payload` then holds what was there.
+bool read_payload(std::istream& in, std::uint64_t size, std::string& payload) {
+  payload.clear();
+  while (payload.size() < size) {
+    const std::size_t have = payload.size();
+    const auto want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kReadChunkBytes, size - have));
+    payload.resize(have + want);
+    in.read(payload.data() + have, static_cast<std::streamsize>(want));
+    payload.resize(have + static_cast<std::size_t>(in.gcount()));
+    if (!in) return false;
   }
-  write_decision(out, system);
+  return true;
 }
 
-void load_system_v1(std::istream& in, AnoleSystem& system, Rng& rng) {
-  read_scene_index(in, system);
-  read_encoder(in, system, rng);
-  const auto model_count = read_pod<std::uint32_t>(in);
-  for (std::uint32_t m = 0; m < model_count; ++m) {
-    system.repository.add(read_model(in, rng));
-  }
-  read_decision(in, system, rng);
-}
-
-void save_system_sections(AnoleSystem& system, std::ostream& out,
-                          std::uint32_t version) {
-  const auto model_count =
-      static_cast<std::uint32_t>(system.repository.size());
-  write_pod(out, model_count);
-  write_pod(out, static_cast<std::uint32_t>(model_count + 3));  // sections
-  write_section(out, kSectionSceneIndex,
-                [&](std::ostream& s) { write_scene_index(s, system); });
-  write_section(out, kSectionEncoder,
-                [&](std::ostream& s) { write_encoder(s, system); });
-  write_section(out, kSectionDecision, [&](std::ostream& s) {
-    if (version >= kArtifactVersion) {
-      write_decision_v3(s, system);
-    } else {
-      write_decision(s, system);
-    }
-  });
-  for (std::uint32_t m = 0; m < model_count; ++m) {
-    write_section(out, kSectionModel, [&](std::ostream& s) {
-      if (version >= kArtifactVersion) {
-        write_model_v3(s, system.repository.model(m));
-      } else {
-        write_model(s, system.repository.model(m));
-      }
-    });
-  }
-}
-
-void load_system_sections(std::istream& in, AnoleSystem& system,
-                          fault::FaultInjector* faults, Rng& rng,
-                          std::uint32_t version) {
+void load_sections(std::istream& in, AnoleSystem& system,
+                   fault::FaultInjector* faults, Rng& rng) {
   const auto model_count = read_pod<std::uint32_t>(in);
   const auto section_count = read_pod<std::uint32_t>(in);
   bool have_index = false;
@@ -338,23 +243,24 @@ void load_system_sections(std::istream& in, AnoleSystem& system,
     if (size > kMaxSectionBytes) {
       throw std::runtime_error("load_system: implausible section size");
     }
-    std::string payload(static_cast<std::size_t>(size), '\0');
-    in.read(payload.data(), static_cast<std::streamsize>(size));
-    const bool payload_complete = static_cast<bool>(in);
+    std::string payload;
+    const bool payload_complete = read_payload(in, size, payload);
     if (!payload_complete && tag != kSectionModel) {
       throw std::runtime_error("load_system: truncated vital section " +
                                std::to_string(tag));
     }
     // Injected storage rot: flip one deterministic bit, then let the
     // checksum below catch it exactly as real corruption would be caught.
-    if (faults != nullptr && !payload.empty() &&
+    // The draw spans the declared size; a bit past a short read's end
+    // needs no flip (that section already fails).
+    if (faults != nullptr && size != 0 &&
         faults->should_fail(fault::Site::kArtifactSection, s)) {
-      const std::size_t bit =
-          faults->draw_index(fault::Site::kArtifactSection,
-                             payload.size() * 8);
-      payload[bit / 8] = static_cast<char>(
-          static_cast<unsigned char>(payload[bit / 8]) ^
-          (1u << (bit % 8)));
+      const std::size_t bit = faults->draw_index(
+          fault::Site::kArtifactSection, static_cast<std::size_t>(size) * 8);
+      if (bit / 8 < payload.size()) {
+        payload[bit / 8] = static_cast<char>(
+            static_cast<unsigned char>(payload[bit / 8]) ^ (1u << (bit % 8)));
+      }
     }
     const bool intact =
         payload_complete &&
@@ -370,9 +276,7 @@ void load_system_sections(std::istream& in, AnoleSystem& system,
       if (intact) {
         std::istringstream section(payload, std::ios::binary);
         try {
-          system.repository.add(version >= kArtifactVersion
-                                    ? read_model_v3(section, rng)
-                                    : read_model(section, rng));
+          system.repository.add(read_model(section, rng));
           added = true;
         } catch (const std::exception&) {
           // CRC passed but the payload would not parse; treat the slot
@@ -406,11 +310,7 @@ void load_system_sections(std::istream& in, AnoleSystem& system,
           throw std::runtime_error(
               "load_system: decision section before encoder");
         }
-        if (version >= kArtifactVersion) {
-          read_decision_v3(section, system, rng);
-        } else {
-          read_decision(section, system, rng);
-        }
+        read_decision(section, system, rng);
         have_decision = true;
         break;
       default:
@@ -438,27 +338,26 @@ void load_system_sections(std::istream& in, AnoleSystem& system,
 
 }  // namespace
 
-void save_system(AnoleSystem& system, std::ostream& out,
-                 std::uint32_t version) {
+void save_system(AnoleSystem& system, std::ostream& out) {
   if (!system.encoder || !system.decision) {
     throw std::runtime_error("save_system: incomplete system");
   }
-  if (version != kVersionLegacy && version != kVersionSections &&
-      version != kArtifactVersion) {
-    throw std::runtime_error("save_system: unsupported version " +
-                             std::to_string(version));
-  }
-  if (version < kArtifactVersion && any_quantized(system)) {
-    throw std::runtime_error(
-        "save_system: version " + std::to_string(version) +
-        " cannot represent quantized layers; use v3 or dequantize first");
-  }
   out.write(kMagic.data(), kMagic.size());
-  write_pod(out, version);
-  if (version == kVersionLegacy) {
-    save_system_v1(system, out);
-  } else {
-    save_system_sections(system, out, version);
+  write_pod(out, kArtifactVersion);
+  const auto model_count =
+      static_cast<std::uint32_t>(system.repository.size());
+  write_pod(out, model_count);
+  write_pod(out, static_cast<std::uint32_t>(model_count + 3));  // sections
+  write_section(out, kSectionSceneIndex,
+                [&](std::ostream& s) { write_scene_index(s, system); });
+  write_section(out, kSectionEncoder,
+                [&](std::ostream& s) { write_encoder(s, system); });
+  write_section(out, kSectionDecision,
+                [&](std::ostream& s) { write_decision(s, system); });
+  for (std::uint32_t m = 0; m < model_count; ++m) {
+    write_section(out, kSectionModel, [&](std::ostream& s) {
+      write_model(s, system.repository.model(m));
+    });
   }
   if (!out) throw std::runtime_error("save_system: write failed");
 }
@@ -470,19 +369,17 @@ AnoleSystem load_system(std::istream& in, fault::FaultInjector* faults) {
     throw std::runtime_error("load_system: bad magic");
   }
   const auto version = read_pod<std::uint32_t>(in);
+  if (version != kArtifactVersion) {
+    throw std::runtime_error("load_system: unsupported artifact version " +
+                             std::to_string(version) + " (expected " +
+                             std::to_string(kArtifactVersion) + ")");
+  }
 
   AnoleSystem system;
   // Weights are overwritten after construction, so the init RNG seed is
   // irrelevant; a fixed seed keeps loading deterministic anyway.
   Rng rng(0xA401EULL);
-
-  if (version == kVersionLegacy) {
-    load_system_v1(in, system, rng);
-  } else if (version == kVersionSections || version == kArtifactVersion) {
-    load_system_sections(in, system, faults, rng, version);
-  } else {
-    throw std::runtime_error("load_system: unsupported version");
-  }
+  load_sections(in, system, faults, rng);
   // The ANOLE_QUANT=0 escape hatch: serve fp32 even from a quantized
   // artifact (the dequantized weights are the codes the int8 kernel
   // would have used, so accuracy is unchanged; only speed is).

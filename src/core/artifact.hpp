@@ -7,25 +7,22 @@
 // identical system with load_system() — no training data travels, so the
 // loaded repository carries no ASS frame pools (they are cloud-only).
 //
-// Format v2 (self-healing, DESIGN.md §9): the blob is a sequence of
-// CRC-32-guarded sections. Vital sections (scene index, encoder, decision
-// head) come first; one section per compressed model follows, so tail
-// truncation can only damage models. A corrupt or truncated model section
-// does not abort the load: the slot gets a placeholder detector, the
-// model id is recorded in AnoleSystem::damaged_models, and the engine
-// quarantines it permanently. Corruption in a vital section throws.
-// Version-1 blobs (unsectioned, no checksums) still load.
+// The format (DESIGN.md §9–§10) is a fixed header (magic, version 3,
+// model count, section count) and a sequence of CRC-32-guarded sections.
+// Vital sections (scene index, encoder, decision head) come first; one
+// section per compressed model follows, so tail truncation can only
+// damage models. A corrupt or truncated model section does not abort the
+// load: the slot gets a placeholder detector, the model id is recorded
+// in AnoleSystem::damaged_models, and the engine quarantines it
+// permanently. Corruption in a vital section throws.
 //
-// Format v3 (quantized sections, DESIGN.md §10) keeps v2's framing —
-// identical blob header, section headers, CRC-32 policy, and recovery
-// ladder — but stores model and decision sections compactly: narrow
-// metadata fields plus the precision-tagged nn::save_network payload, so
-// int8-quantized layers ship as int8 weights + fp16 scales (~4x fewer
-// bytes on a cache miss). The encoder section stays fp32 (its trunk is
-// shared with the decision head and is never quantized). Saving a
-// quantized system requires v3; v1/v2 writers reject it rather than
-// silently dropping quantized weights. Loads honor ANOLE_QUANT=0 by
-// dequantizing every network to fp32 before returning.
+// Model and decision sections hold narrow metadata fields plus the
+// precision-tagged nn::save_network payload, so fp32 layers ship as fp32
+// and int8-quantized layers as int8 weights + fp16 scales (~4x fewer
+// bytes on a cache miss). The encoder section is the fp32 ANOLEWTS
+// parameter walk (its trunk is shared with the decision head and is
+// never quantized). Loads honor ANOLE_QUANT=0 by dequantizing every
+// network to fp32 before returning.
 #pragma once
 
 #include <cstdint>
@@ -36,25 +33,19 @@
 
 namespace anole::core {
 
-/// Latest artifact format version written by save_system.
-inline constexpr std::uint32_t kArtifactVersion = 3;
-
 /// Writes the full system (scene index, M_scene, every compressed model
-/// with its metadata, M_decision head) to `out`. `version` selects the
-/// blob format (1 = legacy unsectioned, 2 = CRC-guarded fp32
-/// sections, 3 = CRC-guarded sections with compact quantized payloads).
-/// Throws std::runtime_error on I/O failure, and when `version` < 3
-/// and the system carries quantized layers (older formats cannot
-/// represent them).
-void save_system(AnoleSystem& system, std::ostream& out,
-                 std::uint32_t version = kArtifactVersion);
+/// with its metadata, M_decision head) to `out` as one artifact, fp32 and
+/// int8-quantized layers alike. Throws std::runtime_error when the
+/// system is incomplete or on I/O failure.
+void save_system(AnoleSystem& system, std::ostream& out);
 
 /// Reconstructs a system from a stream written by save_system. The loaded
 /// models produce bit-identical inference results; `training_frames` /
 /// `validation_frames` pools are empty (deployment artifacts carry no
-/// data). Models whose v2 sections fail their checksum are replaced by
-/// placeholders and listed in AnoleSystem::damaged_models. Throws
-/// std::runtime_error on malformed vital input or when every model is
+/// data). Models whose sections fail their checksum or end early are
+/// replaced by placeholders and listed in AnoleSystem::damaged_models.
+/// Throws std::runtime_error on a version other than the one
+/// save_system writes, on malformed vital input, or when every model is
 /// damaged. `faults` (optional, site `artifact_section`) deterministically
 /// flips one bit per hit section before verification, simulating storage
 /// rot; pass nullptr for a faithful load.

@@ -193,9 +193,9 @@ std::uint64_t GridDetector::flops_per_frame() const {
 }
 
 std::uint64_t GridDetector::weight_bytes() {
-  // fp32 networks report the ANOLEWTS blob size (artifact v1/v2
-  // accounting); quantized networks report the compact v3 wire size, so
-  // cache misses charge ~4x fewer streamed bytes.
+  // fp32 networks report the ANOLEWTS blob size (see
+  // nn::streamed_weight_bytes); quantized networks report the compact
+  // wire size, so cache misses charge ~4x fewer streamed bytes.
   return nn::streamed_weight_bytes(*network_);
 }
 

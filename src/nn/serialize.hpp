@@ -6,10 +6,10 @@
 //
 // Two formats live here:
 //  - save_parameters/load_parameters: the self-describing "ANOLEWTS" blob
-//    (per-parameter rank + dims headers, fp32 data). Used by artifact
-//    v1/v2 sections and standalone weight files.
+//    (per-parameter rank + dims headers, fp32 data). Used by the
+//    artifact's encoder section and standalone weight files.
 //  - save_network/load_network: the compact precision-tagged format used
-//    by artifact v3 model sections. The architecture is NOT encoded —
+//    by the artifact's model and decision sections. The architecture is NOT encoded —
 //    the reader walks a same-architecture Sequential — so the only
 //    framing is one precision byte per Linear layer (0 = fp32 weights +
 //    bias; 1 = per-channel int8 weights + fp16 scales + fp16 bias).
@@ -83,7 +83,8 @@ void load_parameters_from_file(Module& module, const std::string& path);
 /// Size in bytes the serialized parameters occupy (header + payload).
 std::uint64_t serialized_size_bytes(Module& module);
 
-/// Writes `net` in the compact precision-tagged format (artifact v3).
+/// Writes `net` in the compact precision-tagged format (artifact model
+/// and decision sections).
 /// Quantized layers cost ~4x fewer bytes than their fp32 form.
 void save_network(Sequential& net, std::ostream& out);
 
@@ -98,9 +99,10 @@ void load_network(Sequential& net, std::istream& in);
 std::uint64_t network_wire_bytes(Sequential& net);
 
 /// Bytes the network costs when streamed to a device: the ANOLEWTS blob
-/// size for fp32 networks (matching artifact v1/v2 accounting) and the
-/// compact precision-tagged size once any layer is quantized (artifact
-/// v3 accounting).
+/// size for fp32 networks and the compact precision-tagged size once any
+/// layer is quantized. The fp32 figure is a few header bytes per
+/// parameter above the artifact's fp32 model section; the cache byte
+/// budget and the trace goldens are calibrated on it.
 std::uint64_t streamed_weight_bytes(Sequential& net);
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `size` bytes at `data`.

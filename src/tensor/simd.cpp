@@ -146,6 +146,14 @@ ANOLE_TARGET_AVX2 inline __m256i last_vector_mask(std::size_t n) {
       kTailMask + (tail == 0 ? 0 : 8 - tail)));
 }
 
+/// Clears the upper YMM state when an AVX2 entry point returns, on every
+/// path. GCC places its own vzeroupper only when optimizing; without one
+/// the dirty state makes every later SSE instruction on the thread pay a
+/// transition penalty. One per entry point, never in an inner kernel.
+struct UpperStateGuard {
+  ANOLE_TARGET_AVX2 ~UpperStateGuard() { _mm256_zeroupper(); }
+};
+
 /// MXCSR fields: the sticky underflow flag, the control bits (exception
 /// masks, rounding, flush-to-zero, denormals-are-zero) and their default:
 /// every exception masked, round to nearest, no flushing.
@@ -282,6 +290,7 @@ ANOLE_TARGET_AVX2
 void gemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t k,
                     std::size_t n, const float* pa, std::size_t ars,
                     std::size_t acs, const float* pb, float* pc) {
+  const UpperStateGuard clean_exit;
   if (n > 0 && n <= 64) {
     // Row-group widths keep every live accumulator (kRows * kVecs), the
     // shared B vectors, and the broadcast register inside the 16 ymm
@@ -413,6 +422,7 @@ ANOLE_TARGET_AVX2 inline void store_codes(std::int16_t* dst, __m256 lo,
 ANOLE_TARGET_AVX2
 float quantize_row_int16_avx2(std::span<const float> src, std::int16_t* dst,
                               std::size_t padded) {
+  const UpperStateGuard clean_exit;
   const std::size_t n = src.size();
   const float* p = src.data();
   const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
@@ -505,6 +515,7 @@ void qgemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t n,
                      std::size_t kp, const std::int16_t* xq,
                      const float* xscale, const std::int16_t* pw,
                      const float* pscale, const float* pbias, float* py) {
+  const UpperStateGuard clean_exit;
   for (std::size_t jb = 0; jb < n; jb += kChannelBlock) {
     const std::size_t jhi = std::min(n, jb + kChannelBlock);
     for (std::size_t i = ilo; i < ihi; ++i) {
@@ -644,6 +655,7 @@ ANOLE_TARGET_AVX2 inline __m256 log1p_unit_avx2(__m256 u) {
 ANOLE_TARGET_AVX2
 void sigmoid_terms_avx2(const float* z, std::size_t n, float* p,
                         float* log_term) {
+  const UpperStateGuard clean_exit;
   const __m256 zero = _mm256_setzero_ps();
   const __m256 one = _mm256_set1_ps(1.0f);
   const __m256 sign_bit = _mm256_set1_ps(-0.0f);
@@ -704,6 +716,7 @@ ANOLE_TARGET_AVX2 __attribute__((optimize("fp-contract=off")))
 void kmeans_distances_avx2(const float* point, std::size_t dims,
                            const double* ct, std::size_t k_stride,
                            double* dist) {
+  const UpperStateGuard clean_exit;
   for (std::size_t j = 0; j + 4 <= k_stride; j += 4) {
     __m256d acc = _mm256_setzero_pd();
     for (std::size_t d = 0; d < dims; ++d) {

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -218,9 +221,9 @@ TEST_F(ArtifactTest, Top1ConfidenceReported) {
   EXPECT_LE(result.top1_confidence, 1.0);
 }
 
-// --- v2 self-healing artifact layout ---
+// --- self-healing artifact layout ---
 
-/// One v2 section as laid out in the blob: u32 tag, u64 size, u32 CRC,
+/// One section as laid out in the blob: u32 tag, u64 size, u32 CRC,
 /// payload. The fixed header before the section table is 8 (magic) +
 /// 4 (version) + 4 (model count) + 4 (section count) = 20 bytes.
 struct SectionInfo {
@@ -262,7 +265,7 @@ std::string model_weights(AnoleSystem& system, std::size_t m) {
   return out.str();
 }
 
-TEST_F(ArtifactTest, V2SingleBitFlipAlwaysDetected) {
+TEST_F(ArtifactTest, SingleBitFlipAlwaysDetected) {
   const std::string clean = serialized_blob(*system_);
   const auto sections = parse_sections(clean);
   ASSERT_EQ(sections.size(), 3 + system_->model_count());
@@ -403,31 +406,118 @@ TEST_F(ArtifactTest, InjectedSectionCorruptionIsDeterministic) {
   EXPECT_EQ(first.second, second.second);
 }
 
-TEST_F(ArtifactTest, V1FormatStillRoundTrips) {
-  std::stringstream stream;
-  save_system(*system_, stream, 1);
-  AnoleSystem loaded = load_system(stream);
-  EXPECT_TRUE(loaded.damaged_models.empty());
-  ASSERT_EQ(loaded.model_count(), system_->model_count());
-  for (std::size_t m = 0; m < loaded.model_count(); ++m) {
-    EXPECT_EQ(loaded.repository.model(m).name,
-              system_->repository.model(m).name);
-    EXPECT_EQ(model_weights(loaded, m), model_weights(*system_, m));
+TEST_F(ArtifactTest, OtherVersionsRejectedOnLoad) {
+  // The header's u32 version follows the 8-byte magic.
+  const std::string clean = serialized_blob(*system_);
+  for (const std::uint32_t version : {1u, 2u, 4u}) {
+    std::string blob = clean;
+    std::memcpy(blob.data() + 8, &version, sizeof(version));
+    std::stringstream stream(blob);
+    try {
+      (void)load_system(stream);
+      ADD_FAILURE() << "version " << version << " loaded";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(std::to_string(version)),
+                std::string::npos)
+          << error.what();
+    }
   }
-  // v1 carries no checksums, so it is strictly smaller than v2 (the
-  // default v3 can be smaller than v1: its fp32 payloads drop the
-  // per-parameter ANOLEWTS headers).
-  std::stringstream v2_stream;
-  save_system(*system_, v2_stream, 2);
-  EXPECT_LT(stream.str().size(), v2_stream.str().size());
 }
 
-TEST_F(ArtifactTest, UnsupportedVersionRejected) {
-  std::stringstream stream;
-  EXPECT_THROW(save_system(*system_, stream, 4), std::runtime_error);
+/// Peak resident set of this process in KiB (Linux ru_maxrss units).
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
 }
 
-// --- v3 quantized sections ---
+TEST_F(ArtifactTest, CorruptSizeFieldCostsOnlyTheBytesPresent) {
+  const std::string clean = serialized_blob(*system_);
+  const auto sections = parse_sections(clean);
+  const SectionInfo& last = sections.back();
+  ASSERT_EQ(last.tag, kModelSectionTag);
+  // Bit 29 of the last section's u64 size field (after its u32 tag):
+  // the section now claims 512 MiB more than the stream holds, which is
+  // still under the 1 GiB plausibility bound.
+  std::string blob = clean;
+  const std::size_t size_field = last.payload_offset - kSectionHeaderBytes + 4;
+  blob[size_field + 3] = static_cast<char>(
+      static_cast<unsigned char>(blob[size_field + 3]) ^ 0x20u);
+  std::stringstream clean_stream(clean);
+  AnoleSystem reference = load_system(clean_stream);
+
+  // ru_maxrss is a high-water mark; ctest runs each test in its own
+  // process, so no earlier test can hide this load's growth under it.
+  const long before_kib = peak_rss_kib();
+  std::stringstream stream(blob);
+  AnoleSystem loaded = load_system(stream);
+  EXPECT_LT(peak_rss_kib() - before_kib, 64L * 1024);
+
+  const std::size_t last_model = reference.model_count() - 1;
+  ASSERT_EQ(loaded.damaged_models, std::vector<std::size_t>{last_model});
+  ASSERT_EQ(loaded.model_count(), reference.model_count());
+  for (std::size_t m = 0; m < last_model; ++m) {
+    EXPECT_EQ(model_weights(loaded, m), model_weights(reference, m))
+        << "model " << m;
+  }
+}
+
+TEST_F(ArtifactTest, TruncationSweepFollowsRecoveryLadder) {
+  const std::string clean = serialized_blob(*system_);
+  const auto sections = parse_sections(clean);
+  const std::size_t models = system_->model_count();
+  ASSERT_EQ(sections.size(), 3 + models);
+  ASSERT_GE(models, 2u);
+
+  // Every section-header start, payload start and payload end, ±1 byte,
+  // plus every 61st byte.
+  std::set<std::size_t> cuts;
+  for (const SectionInfo& section : sections) {
+    for (const std::size_t edge :
+         {section.payload_offset - kSectionHeaderBytes, section.payload_offset,
+          section.payload_offset + section.payload_size}) {
+      for (const std::size_t cut : {edge - 1, edge, edge + 1}) {
+        if (cut <= clean.size()) cuts.insert(cut);
+      }
+    }
+  }
+  for (std::size_t cut = 0; cut <= clean.size(); cut += 61) cuts.insert(cut);
+
+  for (const std::size_t cut : cuts) {
+    // The section the cut lands in, counting a section's own header as
+    // part of it; `models` past the last one (nothing is lost).
+    std::size_t lost_from = models;
+    bool fatal = cut < kBlobHeaderBytes;
+    for (std::size_t s = 0; s < sections.size() && !fatal; ++s) {
+      const SectionInfo& section = sections[s];
+      if (cut >= section.payload_offset + section.payload_size) continue;
+      if (section.tag == kModelSectionTag) {
+        lost_from = s - 3;  // the three vital sections come first
+        fatal = lost_from == 0;  // every model lost
+      } else {
+        fatal = true;
+      }
+      break;
+    }
+    std::stringstream stream(clean.substr(0, cut));
+    if (fatal) {
+      EXPECT_THROW((void)load_system(stream), std::runtime_error)
+          << "cut " << cut;
+      continue;
+    }
+    std::vector<std::size_t> expected;
+    for (std::size_t m = lost_from; m < models; ++m) expected.push_back(m);
+    try {
+      const AnoleSystem loaded = load_system(stream);
+      EXPECT_EQ(loaded.damaged_models, expected) << "cut " << cut;
+      EXPECT_EQ(loaded.model_count(), models) << "cut " << cut;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "cut " << cut << " threw: " << error.what();
+    }
+  }
+}
+
+// --- quantized sections ---
 
 /// Round-trips the shared system through an artifact, giving each test a
 /// private copy it may quantize without disturbing the fixture.
@@ -455,7 +545,7 @@ TEST_F(ArtifactTest, V3QuantizedRoundTripBitIdentical) {
   ASSERT_TRUE(system_is_quantized(quantized));
 
   std::stringstream stream;
-  save_system(quantized, stream);  // default version: v3
+  save_system(quantized, stream);
   AnoleSystem loaded = load_system(stream);
   EXPECT_TRUE(system_is_quantized(loaded));
   EXPECT_TRUE(loaded.damaged_models.empty());
@@ -494,9 +584,7 @@ TEST_F(ArtifactTest, QuantizedModelSectionsShrink) {
   AnoleSystem quantized = private_copy(*system_);
   attach_validation_pools(quantized, *system_);
   const QuantizeReport report = quantize_system(quantized);
-  std::stringstream fp32_stream;
-  save_system(*system_, fp32_stream, 2);
-  const std::string fp32_blob = fp32_stream.str();
+  const std::string fp32_blob = serialized_blob(*system_);
   const std::string quant_blob = serialized_blob(quantized);
   const std::vector<std::size_t> fp32_sizes = model_section_sizes(fp32_blob);
   const std::vector<std::size_t> quant_sizes = model_section_sizes(quant_blob);
@@ -520,21 +608,12 @@ TEST_F(ArtifactTest, QuantizedModelSectionsShrink) {
   ASSERT_GE(converted, 1u);
   EXPECT_EQ(converted, report.quantized_detectors);
   EXPECT_EQ(converted + report.rejected_detectors, quantized.model_count());
-  // The headline artifact-v3 claim: quantized model sections stream at
-  // least 3.5x fewer bytes than their fp32 v2 counterparts.
+  // The headline quantization claim: quantized model sections stream at
+  // least 3.5x fewer bytes than their fp32 counterparts.
   EXPECT_GE(fp32_bytes / quant_bytes, 3.5);
   EXPECT_LT(quant_blob.size(), fp32_blob.size());
   EXPECT_LT(quantized.decision->head_weight_bytes(),
             system_->decision->head_weight_bytes());
-}
-
-TEST_F(ArtifactTest, LegacyVersionsRejectQuantizedSystems) {
-  AnoleSystem quantized = private_copy(*system_);
-  (void)quantize_system(quantized);
-  ASSERT_TRUE(system_is_quantized(quantized));
-  std::stringstream stream;
-  EXPECT_THROW(save_system(quantized, stream, 1), std::runtime_error);
-  EXPECT_THROW(save_system(quantized, stream, 2), std::runtime_error);
 }
 
 TEST_F(ArtifactTest, QuantEnvZeroLoadsFp32) {
