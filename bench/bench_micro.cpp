@@ -4,7 +4,8 @@
 // SIMD execution layers — matmul GFLOP/s, int8 qgemm vs fp32 matmul at
 // a detector layer shape (with the int8 call split into its quantize and
 // dot stages), per-frame featurization, k-means wall time, OSP
-// end-to-end wall time, and engine batch throughput. Everything is timed
+// end-to-end wall time, one detector training step split into its
+// phases, and engine batch throughput. Everything is timed
 // against a pinned scalar 1-thread reference (the headline "speedup" is
 // active dispatch level at 4 pool threads vs that reference). Kernels run on their
 // calling thread, so only OSP and the engine batch, the task fan-outs,
@@ -31,6 +32,7 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -45,7 +47,9 @@
 #include "core/engine.hpp"
 #include "core/model_cache.hpp"
 #include "core/quantize.hpp"
+#include "detect/detector_trainer.hpp"
 #include "detect/grid_detector.hpp"
+#include "nn/optimizer.hpp"
 #include "sampling/thompson.hpp"
 #include "tensor/qgemm.hpp"
 #include "tensor/simd.hpp"
@@ -440,6 +444,117 @@ OspSample time_osp(std::optional<OspArtifacts>* keep = nullptr) {
   return sample;
 }
 
+/// Host microseconds per detector training step, split by phase, for one
+/// Algorithm 1 candidate shape: a compressed detector (42 -> 16 -> 5 per
+/// cell) on 8-frame batches, trained for 6x the default epochs (the cap a
+/// small cluster's training set is scaled to). Each step is
+/// train_detector's own (stack_batch, forward, detector_loss,
+/// parameter-only backward, Adam) with a clock read between phases, so
+/// the five phases add up to the step. `reps` fresh trainings from one
+/// seed; the phases are those of the rep with the median step time, and
+/// the fastest and slowest reps give the spread.
+struct TrainStepSample {
+  std::size_t reps = 0;
+  std::size_t frames = 0;
+  std::size_t steps = 0;
+  std::size_t cells_per_batch = 0;
+  double assemble_us = 0.0;
+  double forward_us = 0.0;
+  double loss_us = 0.0;
+  double backward_us = 0.0;
+  double adam_us = 0.0;
+  double step_us = 0.0;
+  double step_us_min = 0.0;
+  double step_us_max = 0.0;
+};
+
+TrainStepSample time_train_one(const std::vector<const world::Frame*>& frames) {
+  using Clock = std::chrono::steady_clock;
+  const detect::DetectorTrainConfig config;
+  Rng rng(31);
+  detect::GridDetector detector(detect::GridDetectorConfig::compressed(),
+                                rng);
+  nn::Sequential& net = detector.network();
+  net.set_training(true);
+  nn::Adam optimizer(net.parameters(), config.learning_rate, 0.9, 0.999,
+                     1e-8, config.weight_decay);
+  std::vector<Tensor> inputs;
+  std::vector<detect::GridDetector::Targets> targets;
+  for (const world::Frame* frame : frames) {
+    inputs.push_back(detect::GridDetector::build_inputs(*frame));
+    targets.push_back(detect::GridDetector::build_targets(*frame));
+  }
+  Clock::duration phase[5] = {};
+  TrainStepSample sample;
+  sample.frames = frames.size();
+  for (std::size_t epoch = 0; epoch < 6 * config.epochs; ++epoch) {
+    const std::vector<std::size_t> order =
+        random_permutation(frames.size(), rng);
+    for (std::size_t start = 0; start < order.size();
+         start += config.frames_per_batch) {
+      const std::size_t count =
+          std::min(config.frames_per_batch, order.size() - start);
+      const Clock::time_point t0 = Clock::now();
+      detect::DetectorBatch batch = detect::stack_batch(
+          inputs, targets,
+          std::span<const std::size_t>(order).subspan(start, count));
+      const Clock::time_point t1 = Clock::now();
+      const Tensor outputs = net.forward(std::move(batch.inputs));
+      const Clock::time_point t2 = Clock::now();
+      Tensor grad;
+      const detect::DetectorLoss loss = detect::detector_loss(
+          outputs, batch.targets, static_cast<float>(config.positive_weight),
+          config.box_loss_weight, grad);
+      const Clock::time_point t3 = Clock::now();
+      net.accumulate_gradients(grad);
+      const Clock::time_point t4 = Clock::now();
+      optimizer.step();
+      const Clock::time_point t5 = Clock::now();
+      benchmark::DoNotOptimize(loss.objectness);
+      phase[0] += t1 - t0;
+      phase[1] += t2 - t1;
+      phase[2] += t3 - t2;
+      phase[3] += t4 - t3;
+      phase[4] += t5 - t4;
+      if (start == 0) sample.cells_per_batch = outputs.rows();
+      ++sample.steps;
+    }
+  }
+  const auto per_step_us = [&](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count() /
+           static_cast<double>(sample.steps);
+  };
+  sample.assemble_us = per_step_us(phase[0]);
+  sample.forward_us = per_step_us(phase[1]);
+  sample.loss_us = per_step_us(phase[2]);
+  sample.backward_us = per_step_us(phase[3]);
+  sample.adam_us = per_step_us(phase[4]);
+  sample.step_us = per_step_us(phase[0] + phase[1] + phase[2] + phase[3] +
+                               phase[4]);
+  return sample;
+}
+
+TrainStepSample time_detector_train_step(const world::World& world,
+                                         std::size_t frame_count,
+                                         std::size_t reps) {
+  std::vector<const world::Frame*> frames =
+      world.frames_with_role(world::SplitRole::kTrain);
+  frames.resize(std::min(frames.size(), frame_count));
+  std::vector<TrainStepSample> runs;
+  for (std::size_t r = 0; r < reps; ++r) {
+    runs.push_back(time_train_one(frames));
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const TrainStepSample& a, const TrainStepSample& b) {
+              return a.step_us < b.step_us;
+            });
+  TrainStepSample sample = runs[runs.size() / 2];
+  sample.reps = reps;
+  sample.step_us_min = runs.front().step_us;
+  sample.step_us_max = runs.back().step_us;
+  return sample;
+}
+
 /// Batch inference throughput over the trained system's test frames.
 struct EngineBatchSample {
   double seconds = 0.0;
@@ -564,6 +679,12 @@ int run_json_suite() {
   // (ANOLE_QUANT defaults on). The int8 kernels are bitwise identical at
   // every dispatch level, so the digests below stay comparable.
   (void)core::quantize_system(osp_out->system);
+
+  // One Algorithm 1 candidate's training steps at the active level, on
+  // the calling thread (as each candidate trains on one pool worker).
+  std::fprintf(stderr, "[bench_micro] detector training step phases...\n");
+  const TrainStepSample train_step =
+      time_detector_train_step(osp_out->world, 216, 5);
 
   // Engine batch throughput over the same trained system at every thread
   // count (active level), plus the pinned scalar 1T reference.
@@ -690,6 +811,22 @@ int run_json_suite() {
   std::fprintf(out, "    \"v3_load_seconds\": %.6f\n",
                quant.quantized_load_seconds);
   std::fprintf(out, "  },\n");
+  std::fprintf(out, "  \"detector_train_step\": {\n");
+  std::fprintf(out, "    \"widths\": \"42x16x5\",\n");
+  std::fprintf(out, "    \"frames\": %zu,\n", train_step.frames);
+  std::fprintf(out, "    \"cells_per_batch\": %zu,\n",
+               train_step.cells_per_batch);
+  std::fprintf(out, "    \"steps\": %zu,\n", train_step.steps);
+  std::fprintf(out, "    \"reps\": %zu,\n", train_step.reps);
+  std::fprintf(out, "    \"assemble_us\": %.2f,\n", train_step.assemble_us);
+  std::fprintf(out, "    \"forward_us\": %.2f,\n", train_step.forward_us);
+  std::fprintf(out, "    \"loss_us\": %.2f,\n", train_step.loss_us);
+  std::fprintf(out, "    \"backward_us\": %.2f,\n", train_step.backward_us);
+  std::fprintf(out, "    \"adam_us\": %.2f,\n", train_step.adam_us);
+  std::fprintf(out, "    \"step_us\": %.2f,\n", train_step.step_us);
+  std::fprintf(out, "    \"step_us_min\": %.2f,\n", train_step.step_us_min);
+  std::fprintf(out, "    \"step_us_max\": %.2f\n", train_step.step_us_max);
+  std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"kmeans_2000x48_k16\": {\n");
   std::fprintf(out, "    \"seconds_scalar_1t\": %.6f,\n",
                scalar_1t.kmeans.seconds);
@@ -753,6 +890,15 @@ int run_json_suite() {
                engine_speedup, eng_a4.fps, quant.fp32_bytes,
                quant.fp32_load_seconds, quant.quantized_bytes,
                quant.quantized_load_seconds);
+  std::fprintf(stderr,
+               "[bench_micro] detector train step (%zu cells, %zu steps): "
+               "%.1f us = assemble %.1f + forward %.1f + loss %.1f + "
+               "backward %.1f + adam %.1f (reps %.1f-%.1f us)\n",
+               train_step.cells_per_batch, train_step.steps,
+               train_step.step_us, train_step.assemble_us,
+               train_step.forward_us, train_step.loss_us,
+               train_step.backward_us, train_step.adam_us,
+               train_step.step_us_min, train_step.step_us_max);
   std::fprintf(stderr,
                "[bench_micro] determinism %s, speedup floors %s; wrote "
                "BENCH_micro.json\n",

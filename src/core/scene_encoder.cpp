@@ -1,5 +1,7 @@
 #include "core/scene_encoder.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
 
 namespace anole::core {
@@ -22,8 +24,8 @@ SceneEncoder::SceneEncoder(std::size_t class_count,
   head_->set_training(false);
 }
 
-Tensor SceneEncoder::forward(const Tensor& input) {
-  return head_->forward(trunk_->forward(input));
+Tensor SceneEncoder::forward(Tensor input) {
+  return head_->forward(trunk_->forward(std::move(input)));
 }
 
 Tensor SceneEncoder::infer(const Tensor& input) const {

@@ -34,7 +34,7 @@ class SceneEncoder : public nn::Module {
                Rng& rng);
 
   /// Full classifier forward (trunk + head); used during training.
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
   void accumulate_gradients(const Tensor& grad_output) override;

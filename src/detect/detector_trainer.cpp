@@ -1,42 +1,33 @@
 #include "detect/detector_trainer.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <utility>
 
-#include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
+#include "tensor/simd.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
 namespace anole::detect {
 namespace {
 
-/// Splits detector outputs [cells, 5] into objectness [cells, 1] and
-/// boxes [cells, 4] views (copies; cheap at this scale).
-void split_outputs(const Tensor& outputs, Tensor& objectness, Tensor& boxes) {
-  const std::size_t cells = outputs.rows();
-  // Every element is written below; skip the zero-fills.
-  objectness = Tensor::uninitialized(Shape{cells, 1});
-  boxes = Tensor::uninitialized(Shape{cells, 4});
-  for (std::size_t i = 0; i < cells; ++i) {
-    auto row = outputs.row(i);
-    objectness.at(i, 0) = row[0];
-    for (std::size_t c = 0; c < 4; ++c) boxes.at(i, c) = row[c + 1];
-  }
+constexpr std::size_t kBoxOutputs = GridDetector::kOutputsPerCell - 1;
+
+bool is_matrix(const Tensor& t, std::size_t rows, std::size_t cols) {
+  return t.rank() == 2 && t.rows() == rows && t.cols() == cols;
 }
 
-Tensor merge_gradients(const Tensor& grad_objectness, const Tensor& grad_boxes,
-                       double box_weight) {
-  const std::size_t cells = grad_objectness.rows();
-  Tensor grad =
-      Tensor::uninitialized(Shape{cells, GridDetector::kOutputsPerCell});
-  for (std::size_t i = 0; i < cells; ++i) {
-    auto row = grad.row(i);
-    row[0] = grad_objectness.at(i, 0);
-    for (std::size_t c = 0; c < 4; ++c) {
-      row[c + 1] = static_cast<float>(box_weight) * grad_boxes.at(i, c);
-    }
-  }
-  return grad;
+/// Whether a cell's box-mask row holds a weight other than ±0. One
+/// well-predicted branch per cell: a per-element test would let the
+/// compiler turn the conditional sums below into a select on every
+/// element, a serial chain through all 4 x cells of them.
+bool any_box_weight(const float* mask_row) {
+  static_assert(kBoxOutputs == 4);
+  std::uint32_t bits[kBoxOutputs];
+  std::memcpy(bits, mask_row, sizeof(bits));
+  return ((bits[0] | bits[1] | bits[2] | bits[3]) & 0x7FFFFFFFu) != 0;
 }
 
 /// Copies every row of `src` into `dst` from row `row` on: one block copy,
@@ -47,6 +38,125 @@ void copy_rows(const Tensor& src, Tensor& dst, std::size_t row) {
 }
 
 }  // namespace
+
+DetectorBatch stack_batch(const std::vector<Tensor>& inputs,
+                          const std::vector<GridDetector::Targets>& targets,
+                          std::span<const std::size_t> order) {
+  ANOLE_CHECK_EQ(inputs.size(), targets.size(),
+                 "stack_batch: inputs and targets disagree on frame count");
+  const std::size_t features = GridDetector::input_features();
+  std::size_t cells = 0;
+  for (std::size_t f : order) {
+    ANOLE_CHECK_LT(f, inputs.size(), "stack_batch: frame index out of range");
+    const std::size_t rows = inputs[f].rows();
+    ANOLE_CHECK(is_matrix(inputs[f], rows, features) &&
+                    is_matrix(targets[f].objectness, rows, 1) &&
+                    is_matrix(targets[f].boxes, rows, kBoxOutputs) &&
+                    is_matrix(targets[f].box_mask, rows, kBoxOutputs),
+                "stack_batch: frame ", f, " inputs/targets disagree on "
+                "shape");
+    cells += rows;
+  }
+  // Every row of all four tensors is written below: skip the zero-fill.
+  DetectorBatch batch;
+  batch.inputs = Tensor::uninitialized(Shape{cells, features});
+  batch.targets.objectness = Tensor::uninitialized(Shape{cells, 1});
+  batch.targets.boxes = Tensor::uninitialized(Shape{cells, kBoxOutputs});
+  batch.targets.box_mask = Tensor::uninitialized(Shape{cells, kBoxOutputs});
+  std::size_t row = 0;
+  for (std::size_t f : order) {
+    copy_rows(inputs[f], batch.inputs, row);
+    copy_rows(targets[f].objectness, batch.targets.objectness, row);
+    copy_rows(targets[f].boxes, batch.targets.boxes, row);
+    copy_rows(targets[f].box_mask, batch.targets.box_mask, row);
+    row += inputs[f].rows();
+  }
+  return batch;
+}
+
+DetectorLoss detector_loss(const Tensor& outputs,
+                           const GridDetector::Targets& targets,
+                           float positive_weight, double box_loss_weight,
+                           Tensor& grad) {
+  constexpr std::size_t kWidth = GridDetector::kOutputsPerCell;
+  ANOLE_CHECK(outputs.rank() == 2 && outputs.cols() == kWidth &&
+                  outputs.rows() > 0,
+              "detector_loss: expected non-empty [cells, ", kWidth,
+              "] outputs, got ", shape_to_string(outputs.shape()));
+  const std::size_t cells = outputs.rows();
+  ANOLE_CHECK(is_matrix(targets.objectness, cells, 1) &&
+                  is_matrix(targets.boxes, cells, kBoxOutputs) &&
+                  is_matrix(targets.box_mask, cells, kBoxOutputs),
+              "detector_loss: targets do not match ", cells, " cells");
+  ANOLE_CHECK_GT(positive_weight, 0.0f,
+                 "detector_loss: positive_weight must be > 0");
+  const float* out = outputs.data().data();
+  const float* obj_target = targets.objectness.data().data();
+  const float* box_target = targets.boxes.data().data();
+  const float* mask = targets.box_mask.data().data();
+
+  // The MSE's normalizer first: the mask weight summed in element order,
+  // skipping zeros, as nn::mse_loss sums it. When it is 0, mse_loss leaves
+  // its gradient unscaled, which a factor of 1 reproduces bit for bit.
+  double active = 0.0;
+  for (std::size_t i = 0; i < cells; ++i) {
+    const float* m = mask + i * kBoxOutputs;
+    if (!any_box_weight(m)) continue;
+    for (std::size_t c = 0; c < kBoxOutputs; ++c) {
+      if (m[c] != 0.0f) active += m[c];
+    }
+  }
+  const float inv_active =
+      active == 0.0 ? 1.0f : static_cast<float>(1.0 / active);
+  const float box_weight = static_cast<float>(box_loss_weight);
+  // A masked-out element's merged gradient: mse_loss's zero, scaled.
+  const float masked_grad = box_weight * (0.0f * inv_active);
+
+  // σ(z) and log1p(exp(-|z|)) of the objectness logits through the
+  // dispatched kernel, as nn::bce_with_logits computes them.
+  FloatBuffer scratch(3 * cells);
+  float* logits = scratch.data();
+  float* sigma = logits + cells;
+  float* log_terms = sigma + cells;
+  for (std::size_t i = 0; i < cells; ++i) logits[i] = out[i * kWidth];
+  simd::sigmoid_terms(simd::active_level(), logits, cells, sigma, log_terms);
+
+  // Every element is written below; skip the zero-fill.
+  grad = Tensor::uninitialized(outputs.shape());
+  float* g = grad.data().data();
+  const float inv_cells = 1.0f / static_cast<float>(cells);
+  double obj_loss = 0.0;
+  double box_loss = 0.0;
+  for (std::size_t i = 0; i < cells; ++i) {
+    const float z = logits[i];
+    const float t = obj_target[i];
+    const float w = t > 0.5f ? positive_weight : 1.0f;
+    // Numerically stable BCE: max(z,0) - z*t + log(1+exp(-|z|)).
+    const float stable = std::max(z, 0.0f) - z * t + log_terms[i];
+    obj_loss += static_cast<double>(w * stable);
+    float* g_row = g + i * kWidth;
+    g_row[0] = w * (sigma[i] - t) * inv_cells;
+    const float* m = mask + i * kBoxOutputs;
+    if (!any_box_weight(m)) {
+      for (std::size_t c = 0; c < kBoxOutputs; ++c) g_row[1 + c] = masked_grad;
+      continue;
+    }
+    for (std::size_t c = 0; c < kBoxOutputs; ++c) {
+      if (m[c] == 0.0f) {
+        g_row[1 + c] = masked_grad;
+        continue;
+      }
+      const float diff =
+          out[i * kWidth + 1 + c] - box_target[i * kBoxOutputs + c];
+      box_loss += static_cast<double>(m[c]) * diff * diff;
+      g_row[1 + c] = box_weight * ((2.0f * m[c] * diff) * inv_active);
+    }
+  }
+  DetectorLoss loss;
+  loss.objectness = static_cast<float>(obj_loss / static_cast<double>(cells));
+  loss.box = active == 0.0 ? 0.0f : static_cast<float>(box_loss / active);
+  return loss;
+}
 
 std::size_t DetectorTrainConfig::effective_epochs(std::size_t frames) const {
   if (reference_frames == 0 || frames == 0 || frames >= reference_frames) {
@@ -64,6 +174,9 @@ DetectorTrainResult train_detector(
   ANOLE_CHECK(config.learning_rate > 0.0,
               "train_detector: learning_rate must be positive, got ",
               config.learning_rate);
+  const auto positive_weight = static_cast<float>(config.positive_weight);
+  ANOLE_CHECK_GT(positive_weight, 0.0f,
+                 "train_detector: positive_weight must be > 0");
   DetectorTrainResult result;
   result.frames_seen = frames.size();
   if (frames.empty()) return result;
@@ -75,22 +188,16 @@ DetectorTrainResult train_detector(
 
   // Featurize every frame once up front: inputs and targets are pure
   // functions of the frame, and rebuilding them per batch per epoch used
-  // to dominate the non-GEMM training profile. Their shapes are checked
-  // here, once per frame, so batch assembly below is plain block copies.
-  const std::size_t features = GridDetector::input_features();
+  // to dominate the non-GEMM training profile. A batch is then one block
+  // copy per tensor per frame (stack_batch).
   std::vector<Tensor> cached_inputs(frames.size());
   std::vector<GridDetector::Targets> cached_targets(frames.size());
   for (std::size_t f = 0; f < frames.size(); ++f) {
     cached_inputs[f] = GridDetector::build_inputs(*frames[f]);
     cached_targets[f] = GridDetector::build_targets(*frames[f]);
-    const std::size_t cells = frames[f]->cell_count();
-    const GridDetector::Targets& targets = cached_targets[f];
-    ANOLE_CHECK(cached_inputs[f].shape() == Shape({cells, features}) &&
-                    targets.objectness.shape() == Shape({cells, 1}) &&
-                    targets.boxes.shape() == Shape({cells, 4}) &&
-                    targets.box_mask.shape() == Shape({cells, 4}),
-                "train_detector: frame ", f, " inputs/targets do not match ",
-                "its ", cells, " cells");
+    ANOLE_CHECK_EQ(cached_inputs[f].rows(), frames[f]->cell_count(),
+                   "train_detector: frame ", f, " inputs do not match its "
+                   "cells");
   }
 
   const std::size_t epochs = config.effective_epochs(frames.size());
@@ -102,42 +209,17 @@ DetectorTrainResult train_detector(
          start += config.frames_per_batch) {
       const std::size_t end =
           std::min(start + config.frames_per_batch, order.size());
-      // Stack the per-cell rows of all frames in the batch: every row of
-      // all four tensors is written below, so they skip the zero-fill.
-      std::size_t total_cells = 0;
-      for (std::size_t k = start; k < end; ++k) {
-        total_cells += frames[order[k]]->cell_count();
-      }
-      Tensor inputs = Tensor::uninitialized(Shape{total_cells, features});
-      Tensor target_obj = Tensor::uninitialized(Shape{total_cells, 1});
-      Tensor target_boxes = Tensor::uninitialized(Shape{total_cells, 4});
-      Tensor box_mask = Tensor::uninitialized(Shape{total_cells, 4});
-      std::size_t row = 0;
-      for (std::size_t k = start; k < end; ++k) {
-        const std::size_t f = order[k];
-        copy_rows(cached_inputs[f], inputs, row);
-        copy_rows(cached_targets[f].objectness, target_obj, row);
-        copy_rows(cached_targets[f].boxes, target_boxes, row);
-        copy_rows(cached_targets[f].box_mask, box_mask, row);
-        row += frames[f]->cell_count();
-      }
-
-      Tensor outputs = net.forward(inputs);
-      Tensor objectness;
-      Tensor boxes;
-      split_outputs(outputs, objectness, boxes);
-
-      Tensor grad_obj;
-      Tensor grad_boxes;
-      const float obj_loss =
-          nn::bce_with_logits(objectness, target_obj, grad_obj,
-                              static_cast<float>(config.positive_weight));
-      const float box_loss =
-          nn::mse_loss(boxes, target_boxes, grad_boxes, box_mask);
-      net.accumulate_gradients(
-          merge_gradients(grad_obj, grad_boxes, config.box_loss_weight));
+      DetectorBatch batch = stack_batch(
+          cached_inputs, cached_targets,
+          std::span<const std::size_t>(order).subspan(start, end - start));
+      const Tensor outputs = net.forward(std::move(batch.inputs));
+      Tensor grad;
+      const DetectorLoss loss = detector_loss(
+          outputs, batch.targets, positive_weight, config.box_loss_weight,
+          grad);
+      net.accumulate_gradients(grad);
       optimizer.step();
-      epoch_loss += obj_loss + config.box_loss_weight * box_loss;
+      epoch_loss += loss.objectness + config.box_loss_weight * loss.box;
       ++batches;
     }
     epoch_loss /= static_cast<double>(std::max<std::size_t>(batches, 1));

@@ -2,6 +2,7 @@
 // weighting — object cells are rare) and masked box-regression MSE.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "detect/grid_detector.hpp"
@@ -34,6 +35,40 @@ struct DetectorTrainResult {
   std::vector<double> epoch_losses;
   std::size_t frames_seen = 0;
 };
+
+/// One training batch: the per-cell rows of a few frames, stacked.
+struct DetectorBatch {
+  Tensor inputs;                  ///< [cells, input_features]
+  GridDetector::Targets targets;  ///< stacked like the inputs
+};
+
+/// Stacks the featurized frames `order` (indices into `inputs` and
+/// `targets`, the per-frame build_inputs / build_targets tensors) into one
+/// batch: one block copy per tensor per frame, after an O(1) shape check
+/// of each frame's four tensors.
+DetectorBatch stack_batch(const std::vector<Tensor>& inputs,
+                          const std::vector<GridDetector::Targets>& targets,
+                          std::span<const std::size_t> order);
+
+/// The two terms of the detector objective on one batch.
+struct DetectorLoss {
+  float objectness = 0.0f;  ///< positive-weighted BCE, mean over cells
+  float box = 0.0f;         ///< masked MSE, mean over the mask's weight
+};
+
+/// The detector objective on `outputs` [cells, 5] in one pass: BCE with
+/// logits on column 0 against `targets.objectness`, weighting positive
+/// cells by `positive_weight` (> 0), and MSE on columns 1..4 against
+/// `targets.boxes` gated by `targets.box_mask`. Writes the gradient with
+/// respect to `outputs` into `grad`, its box columns scaled by
+/// `box_loss_weight`. Every loss, and every gradient bit, equals what
+/// nn::bce_with_logits and the masked nn::mse_loss return on the split
+/// columns, with the box gradient then multiplied by
+/// float(box_loss_weight).
+DetectorLoss detector_loss(const Tensor& outputs,
+                           const GridDetector::Targets& targets,
+                           float positive_weight, double box_loss_weight,
+                           Tensor& grad);
 
 /// Trains `detector` on `frames` (ground truth comes from each frame).
 DetectorTrainResult train_detector(GridDetector& detector,

@@ -1,6 +1,7 @@
 #include "nn/layers.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "tensor/simd.hpp"
 #include "util/check.hpp"
@@ -36,13 +37,13 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng)
   }
 }
 
-Tensor Linear::forward(const Tensor& input) {
+Tensor Linear::forward(Tensor input) {
   ANOLE_CHECK(input.rank() == 2 && input.cols() == in_features_,
               "Linear::forward: expected [batch, ", in_features_, "], got ",
               shape_to_string(input.shape()));
-  cached_input_ = input;
   Tensor out = matmul(input, weight_.value);
   add_row_broadcast(out, bias_.value);
+  cached_input_ = std::move(input);
   return out;
 }
 
@@ -77,8 +78,7 @@ std::uint64_t Linear::flops_per_sample() const {
   return 2ull * in_features_ * out_features_ + out_features_;
 }
 
-Tensor ReLU::forward(const Tensor& input) {
-  cached_input_ = input;
+Tensor ReLU::forward(Tensor input) {
   last_width_ = input.rank() == 2 ? input.cols() : input.size();
   // Single pass into an uninitialized output instead of copy-then-clamp:
   // same values, one fewer sweep over the activation buffer.
@@ -88,6 +88,7 @@ Tensor ReLU::forward(const Tensor& input) {
   for (std::size_t i = 0; i < o.size(); ++i) {
     o[i] = in[i] > 0.0f ? in[i] : 0.0f;
   }
+  cached_input_ = std::move(input);
   return out;
 }
 
@@ -116,13 +117,13 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor LeakyReLU::forward(const Tensor& input) {
-  cached_input_ = input;
+Tensor LeakyReLU::forward(Tensor input) {
   last_width_ = input.rank() == 2 ? input.cols() : input.size();
   Tensor out = input;
   for (auto& v : out.data()) {
     if (v < 0.0f) v *= negative_slope_;
   }
+  cached_input_ = std::move(input);
   return out;
 }
 
@@ -145,7 +146,7 @@ Tensor LeakyReLU::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Sigmoid::forward(const Tensor& input) {
+Tensor Sigmoid::forward(Tensor input) {
   last_width_ = input.rank() == 2 ? input.cols() : input.size();
   // σ through the dispatched transcendental kernel (libm at scalar,
   // polynomial at AVX2 — DESIGN.md §13), written straight into an
@@ -173,9 +174,9 @@ Tensor Sigmoid::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Tanh::forward(const Tensor& input) {
+Tensor Tanh::forward(Tensor input) {
   last_width_ = input.rank() == 2 ? input.cols() : input.size();
-  Tensor out = input;
+  Tensor out = std::move(input);
   for (auto& v : out.data()) v = std::tanh(v);
   cached_output_ = out;
   return out;
@@ -201,14 +202,14 @@ Dropout::Dropout(float rate, std::uint64_t seed) : rate_(rate), rng_(seed) {
               "Dropout: rate must be in [0, 1), got ", rate);
 }
 
-Tensor Dropout::forward(const Tensor& input) {
+Tensor Dropout::forward(Tensor input) {
   if (!training() || rate_ == 0.0f) {
     mask_ = Tensor();
     return input;
   }
   mask_ = Tensor(input.shape());
   const float keep = 1.0f - rate_;
-  Tensor out = input;
+  Tensor out = std::move(input);
   auto m = mask_.data();
   auto o = out.data();
   for (std::size_t i = 0; i < o.size(); ++i) {
@@ -240,12 +241,12 @@ LayerNorm::LayerNorm(std::size_t features, float epsilon)
   ANOLE_CHECK_GT(epsilon, 0.0f, "LayerNorm: epsilon must be > 0");
 }
 
-Tensor LayerNorm::forward(const Tensor& input) {
+Tensor LayerNorm::forward(Tensor input) {
   ANOLE_CHECK(input.rank() == 2 && input.cols() == features_,
               "LayerNorm::forward: expected [batch, ", features_, "], got ",
               shape_to_string(input.shape()));
   const std::size_t batch = input.rows();
-  Tensor out = input;
+  Tensor out = std::move(input);
   cached_normalized_ = Tensor::matrix(batch, features_);
   cached_inv_std_ = Tensor(Shape{batch});
   for (std::size_t r = 0; r < batch; ++r) {

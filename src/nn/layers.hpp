@@ -12,7 +12,7 @@ class Linear : public Module {
   /// He-style fan-in initialization with the given RNG.
   Linear(std::size_t in_features, std::size_t out_features, Rng& rng);
 
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
   /// backward() minus the input-gradient GEMM.
@@ -38,7 +38,7 @@ class Linear : public Module {
 /// Rectified linear unit.
 class ReLU : public Module {
  public:
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "ReLU"; }
@@ -55,7 +55,7 @@ class LeakyReLU : public Module {
   explicit LeakyReLU(float negative_slope = 0.1f)
       : negative_slope_(negative_slope) {}
 
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "LeakyReLU"; }
@@ -70,7 +70,7 @@ class LeakyReLU : public Module {
 /// Logistic sigmoid.
 class Sigmoid : public Module {
  public:
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "Sigmoid"; }
@@ -84,7 +84,7 @@ class Sigmoid : public Module {
 /// Hyperbolic tangent.
 class Tanh : public Module {
  public:
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "Tanh"; }
@@ -101,7 +101,7 @@ class Dropout : public Module {
   /// `rate` is the drop probability in [0, 1).
   Dropout(float rate, std::uint64_t seed);
 
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "Dropout"; }
@@ -117,7 +117,7 @@ class LayerNorm : public Module {
  public:
   explicit LayerNorm(std::size_t features, float epsilon = 1e-5f);
 
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;

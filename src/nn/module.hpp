@@ -5,7 +5,9 @@
 // from these modules and trained with real gradient descent.
 //
 // The interface is deliberately simple: forward() caches whatever the layer
-// needs, backward() consumes the upstream gradient and returns the gradient
+// needs (taking its input by value, so a layer that keeps its input moves
+// the caller's buffer into its cache instead of copying it), backward()
+// consumes the upstream gradient and returns the gradient
 // with respect to the layer input, accumulating parameter gradients into
 // Parameter::grad. accumulate_gradients() is backward() for callers that
 // only want the parameter gradients (every trainer).
@@ -42,8 +44,11 @@ class Module {
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  /// Computes the layer output and caches what backward() needs.
-  virtual Tensor forward(const Tensor& input) = 0;
+  /// Computes the layer output and caches what backward() needs. The
+  /// input is a sink: pass an activation that is not used again with
+  /// std::move, and a layer that caches its input (Linear, ReLU) keeps
+  /// that buffer rather than a copy.
+  virtual Tensor forward(Tensor input) = 0;
 
   /// Inference-only forward: the same arithmetic as forward() in eval
   /// mode (Dropout is a pass-through regardless of the training flag),

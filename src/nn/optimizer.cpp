@@ -1,6 +1,7 @@
 #include "nn/optimizer.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -13,6 +14,14 @@ void check_params(const std::vector<Parameter*>& params, const char* who) {
     ANOLE_CHECK(p->value.shape() == p->grad.shape(), who,
                 ": parameter value/grad shape mismatch");
   }
+}
+
+/// +0 for a subnormal (or zero) `x`, else `x`. Weight decay walks the
+/// weights of dead units down into the subnormal range, where arithmetic
+/// on x86 can take a microcode assist per op (DESIGN.md §13,
+/// "Subnormals in training").
+float flush_subnormal(float x) {
+  return std::fabs(x) < std::numeric_limits<float>::min() ? 0.0f : x;
 }
 
 }  // namespace
@@ -92,11 +101,14 @@ void Adam::step() {
     auto v = second_moment_[i].data();
     for (std::size_t j = 0; j < value.size(); ++j) {
       const float g = grad[j] + wd * value[j];
-      m[j] = b1 * m[j] + (1.0f - b1) * g;
-      v[j] = b2 * v[j] + (1.0f - b2) * g * g;
+      // The stored state never holds a subnormal; on normal values the
+      // flushes are no-ops and the update is the textbook one bit for bit.
+      m[j] = flush_subnormal(b1 * m[j] + (1.0f - b1) * g);
+      v[j] = flush_subnormal(b2 * v[j] + (1.0f - b2) * g * g);
       const float m_hat = m[j] / bias1;
       const float v_hat = v[j] / bias2;
-      value[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+      value[j] = flush_subnormal(value[j] -
+                                 lr * m_hat / (std::sqrt(v_hat) + eps));
     }
     p.zero_grad();
   }

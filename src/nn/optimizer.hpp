@@ -46,6 +46,8 @@ class Sgd : public Optimizer {
 };
 
 /// Adam (Kingma & Ba) with bias correction and optional L2 weight decay.
+/// Each step stores +0 in place of any subnormal parameter value or
+/// moment it would store (DESIGN.md §13, "Subnormals in training").
 class Adam : public Optimizer {
  public:
   Adam(std::vector<Parameter*> params, double learning_rate,
@@ -53,6 +55,15 @@ class Adam : public Optimizer {
        double weight_decay = 0.0);
 
   void step() override;
+
+  /// The first and second moment estimates of parameter `i`, in the
+  /// order the parameters were given.
+  const Tensor& first_moment(std::size_t i) const {
+    return first_moment_.at(i);
+  }
+  const Tensor& second_moment(std::size_t i) const {
+    return second_moment_.at(i);
+  }
 
  private:
   double beta1_;

@@ -36,7 +36,7 @@ QuantizedLinear::QuantizedLinear(QuantizedMatrix weights, Tensor bias)
   weights_.prepare();  // wire data carries no execution copy
 }
 
-Tensor QuantizedLinear::forward(const Tensor& input) {
+Tensor QuantizedLinear::forward(Tensor input) {
   return qgemm(input, weights_, bias_.data());
 }
 

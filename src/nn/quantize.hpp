@@ -38,7 +38,7 @@ class QuantizedLinear : public Module {
   /// matrix, `bias` a [out] tensor of fp16-representable values.
   QuantizedLinear(QuantizedMatrix weights, Tensor bias);
 
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "QuantizedLinear"; }

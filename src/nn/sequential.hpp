@@ -22,7 +22,7 @@ class Sequential : public Module {
     return add(std::make_unique<T>(std::forward<Args>(args)...));
   }
 
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
   /// backward() through modules n-1..1, then accumulate_gradients() on

@@ -1,6 +1,7 @@
 #include "nn/trainer.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -56,7 +57,7 @@ TrainResult train_classifier(Module& net, const Tensor& inputs,
       for (std::size_t i = 0; i < batch_idx.size(); ++i) {
         y[i] = labels[batch_idx[i]];
       }
-      Tensor logits = net.forward(x);
+      Tensor logits = net.forward(std::move(x));
       Tensor grad;
       epoch_loss += softmax_cross_entropy(logits, y, grad);
       net.accumulate_gradients(grad);
@@ -120,7 +121,7 @@ TrainResult train_soft_classifier(Module& net, const Tensor& inputs,
                                          order.begin() + end);
       Tensor x = gather_rows(inputs, batch_idx);
       Tensor t = gather_rows(soft_targets, batch_idx);
-      Tensor logits = net.forward(x);
+      Tensor logits = net.forward(std::move(x));
       Tensor grad;
       epoch_loss += softmax_cross_entropy_soft(logits, t, grad);
       net.accumulate_gradients(grad);

@@ -4,9 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <numeric>
+#include <string>
 #include <vector>
 
+#include "nn/loss.hpp"
+#include "simd_levels.hpp"
 #include "world/world.hpp"
 
 namespace anole::detect {
@@ -279,6 +284,207 @@ TEST(DetectorTraining, LearnsASingleScene) {
   EXPECT_LT(result.epoch_losses.back(), result.epoch_losses.front());
   EXPECT_GT(after, before);
   EXPECT_GT(after, 0.35);
+}
+
+/// The detector loss as it was composed before the fused pass: split the
+/// outputs into objectness and box columns, nn::bce_with_logits and the
+/// masked nn::mse_loss on those, then merge the gradients with the box
+/// columns scaled by float(box_loss_weight).
+struct ComposedLoss {
+  float objectness = 0.0f;
+  float box = 0.0f;
+  Tensor grad;
+};
+
+ComposedLoss composed_loss(const Tensor& outputs,
+                           const GridDetector::Targets& targets,
+                           float positive_weight, double box_loss_weight) {
+  const std::size_t cells = outputs.rows();
+  Tensor objectness(Shape{cells, 1});
+  Tensor boxes(Shape{cells, 4});
+  for (std::size_t i = 0; i < cells; ++i) {
+    objectness.at(i, 0) = outputs.at(i, 0);
+    for (std::size_t c = 0; c < 4; ++c) boxes.at(i, c) = outputs.at(i, c + 1);
+  }
+  Tensor grad_obj;
+  Tensor grad_boxes;
+  ComposedLoss loss;
+  loss.objectness = nn::bce_with_logits(objectness, targets.objectness,
+                                        grad_obj, positive_weight);
+  loss.box = nn::mse_loss(boxes, targets.boxes, grad_boxes, targets.box_mask);
+  loss.grad = Tensor(Shape{cells, GridDetector::kOutputsPerCell});
+  for (std::size_t i = 0; i < cells; ++i) {
+    loss.grad.at(i, 0) = grad_obj.at(i, 0);
+    for (std::size_t c = 0; c < 4; ++c) {
+      loss.grad.at(i, c + 1) =
+          static_cast<float>(box_loss_weight) * grad_boxes.at(i, c);
+    }
+  }
+  return loss;
+}
+
+std::uint32_t float_bits(float x) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+/// detector_loss against the composition, every bit, at every SIMD level.
+void expect_fused_loss_matches(const Tensor& outputs,
+                               const GridDetector::Targets& targets,
+                               float positive_weight, double box_weight) {
+  for (simd::Level level : available_levels()) {
+    SimdLevelGuard guard(level);
+    SCOPED_TRACE(std::string(simd::level_name(level)) + ", positive weight " +
+                 std::to_string(positive_weight) + ", box weight " +
+                 std::to_string(box_weight));
+    const ComposedLoss expected =
+        composed_loss(outputs, targets, positive_weight, box_weight);
+    Tensor grad;
+    const DetectorLoss loss =
+        detector_loss(outputs, targets, positive_weight, box_weight, grad);
+    EXPECT_EQ(float_bits(loss.objectness), float_bits(expected.objectness));
+    EXPECT_EQ(float_bits(loss.box), float_bits(expected.box));
+    ASSERT_EQ(grad.shape(), expected.grad.shape());
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+      ASSERT_EQ(float_bits(grad[i]), float_bits(expected.grad[i]))
+          << "gradient element " << i << " (cell " << i / 5 << ", column "
+          << i % 5 << ")";
+    }
+  }
+}
+
+/// A real 8-frame training batch and a fresh compressed detector's outputs
+/// on it.
+struct LossCase {
+  Tensor outputs;
+  GridDetector::Targets targets;
+};
+
+LossCase real_batch(std::uint64_t seed) {
+  Rng rng(seed);
+  world::ClipGenerator generator;
+  world::ClipSpec spec;
+  spec.attributes = {world::Weather::kRainy, world::Location::kHighway,
+                     world::TimeOfDay::kDawnDusk};
+  spec.length = 8;
+  const auto clip = generator.generate(spec, rng);
+  std::vector<Tensor> inputs;
+  std::vector<GridDetector::Targets> targets;
+  for (const world::Frame& frame : clip.frames) {
+    inputs.push_back(GridDetector::build_inputs(frame));
+    targets.push_back(GridDetector::build_targets(frame));
+  }
+  std::vector<std::size_t> order(inputs.size());
+  std::iota(order.begin(), order.end(), 0);
+  DetectorBatch batch = stack_batch(inputs, targets, order);
+  GridDetector detector(GridDetectorConfig::compressed(), rng);
+  LossCase out;
+  out.outputs = detector.network().forward(std::move(batch.inputs));
+  out.targets = std::move(batch.targets);
+  return out;
+}
+
+TEST(DetectorLoss, FusedPassMatchesComposedLossesBitForBit) {
+  const LossCase batch = real_batch(41);
+  double positives = 0.0;
+  for (float t : batch.targets.objectness.data()) positives += t;
+  ASSERT_GT(positives, 0.0) << "the batch should hold object cells";
+  for (const float positive_weight : {6.0f, 1.0f, 0.37f}) {
+    for (const double box_weight : {1.0, 2.5, -0.75, 0.0}) {
+      expect_fused_loss_matches(batch.outputs, batch.targets,
+                                positive_weight, box_weight);
+    }
+  }
+}
+
+/// Wide logits (|z| up to ~20, where the AVX2 polynomial and libm part
+/// ways most) and a mask with fractional, negative and -0 weights.
+TEST(DetectorLoss, FusedPassMatchesOnSyntheticExtremes) {
+  Rng rng(43);
+  constexpr std::size_t kCells = 37;  // not a multiple of the vector width
+  LossCase batch;
+  batch.outputs = Tensor(Shape{kCells, 5});
+  batch.targets.objectness = Tensor(Shape{kCells, 1});
+  batch.targets.boxes = Tensor(Shape{kCells, 4});
+  batch.targets.box_mask = Tensor(Shape{kCells, 4});
+  for (float& v : batch.outputs.data()) {
+    v = static_cast<float>(rng.normal(0.0, 7.0));
+  }
+  for (std::size_t i = 0; i < kCells; ++i) {
+    const bool object = rng.bernoulli(0.3);
+    batch.targets.objectness.at(i, 0) = object ? 1.0f : 0.0f;
+    for (std::size_t c = 0; c < 4; ++c) {
+      batch.targets.boxes.at(i, c) = static_cast<float>(rng.uniform());
+      batch.targets.box_mask.at(i, c) =
+          object ? static_cast<float>(rng.uniform(-0.5, 1.5)) : 0.0f;
+    }
+  }
+  batch.targets.box_mask.at(7, 0) = -0.0f;
+  for (const double box_weight : {1.0, -3.0}) {
+    expect_fused_loss_matches(batch.outputs, batch.targets, 6.0f,
+                              box_weight);
+  }
+}
+
+/// A batch without a single object cell: the mask sums to 0, the box loss
+/// is 0 and its gradient is unscaled zeros (-0 under a negative weight).
+TEST(DetectorLoss, FusedPassMatchesWithoutObjectCells) {
+  LossCase batch = real_batch(47);
+  batch.targets.objectness.fill(0.0f);
+  batch.targets.box_mask.fill(0.0f);
+  for (const double box_weight : {1.0, -0.75}) {
+    expect_fused_loss_matches(batch.outputs, batch.targets, 6.0f,
+                              box_weight);
+  }
+  Tensor grad;
+  const DetectorLoss loss =
+      detector_loss(batch.outputs, batch.targets, 6.0f, -0.75, grad);
+  EXPECT_EQ(loss.box, 0.0f);
+  EXPECT_TRUE(std::signbit(grad.at(0, 1)));
+}
+
+/// A mask whose weights cancel (sum exactly 0) leaves the box gradient
+/// unscaled, as nn::mse_loss does.
+TEST(DetectorLoss, FusedPassMatchesWhenMaskWeightsCancel) {
+  LossCase batch = real_batch(53);
+  batch.targets.box_mask.fill(0.0f);
+  batch.targets.box_mask.at(3, 1) = 1.0f;
+  batch.targets.box_mask.at(9, 2) = -1.0f;
+  expect_fused_loss_matches(batch.outputs, batch.targets, 6.0f, 1.0);
+}
+
+TEST(DetectorLoss, RejectsBadShapesAndWeights) {
+  const LossCase batch = real_batch(59);
+  Tensor grad;
+  EXPECT_THROW((void)detector_loss(batch.outputs, batch.targets, 0.0f, 1.0,
+                                   grad),
+               std::invalid_argument);
+  EXPECT_THROW((void)detector_loss(batch.outputs, batch.targets,
+                                   std::nanf(""), 1.0, grad),
+               std::invalid_argument);
+  GridDetector::Targets short_targets = batch.targets;
+  short_targets.boxes = Tensor(Shape{batch.outputs.rows() - 1, 4});
+  EXPECT_THROW((void)detector_loss(batch.outputs, short_targets, 6.0f, 1.0,
+                                   grad),
+               std::invalid_argument);
+  EXPECT_THROW((void)detector_loss(Tensor(Shape{4, 4}), batch.targets, 6.0f,
+                                   1.0, grad),
+               std::invalid_argument);
+}
+
+/// train_detector checks positive_weight at entry, before any frame is
+/// featurized (and even when there are none).
+TEST(DetectorTraining, RejectsNonPositivePositiveWeight) {
+  Rng rng(7);
+  GridDetector detector(GridDetectorConfig::compressed(), rng);
+  DetectorTrainConfig config;
+  config.positive_weight = 0.0;
+  EXPECT_THROW((void)train_detector(detector, {}, config, rng),
+               std::invalid_argument);
+  config.positive_weight = -1.0;
+  EXPECT_THROW((void)train_detector(detector, {}, config, rng),
+               std::invalid_argument);
 }
 
 TEST(DetectorTraining, EmptyFrameListIsNoop) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "nn/loss.hpp"
 #include "nn/sequential.hpp"
@@ -13,7 +16,7 @@ namespace {
 /// A single scalar parameter module for hand-checkable updates.
 struct ScalarParam : Module {
   Parameter p{Tensor(Shape{1}, 1.0f)};
-  Tensor forward(const Tensor& input) override { return input; }
+  Tensor forward(Tensor input) override { return input; }
   Tensor infer(const Tensor& input) const override { return input; }
   Tensor backward(const Tensor& grad) override { return grad; }
   std::vector<Parameter*> parameters() override { return {&p}; }
@@ -66,6 +69,72 @@ TEST(Adam, ConvergesOnQuadratic) {
     adam.step();
   }
   EXPECT_NEAR(m.p.value[0], 3.0f, 0.05f);
+}
+
+bool is_subnormal(float x) {
+  return std::fpclassify(x) == FP_SUBNORMAL;
+}
+
+std::uint32_t bits_of(float x) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+/// A weight whose gradient is always zero decays under weight decay alone,
+/// as a dead hidden unit's weights do. Without the flush this one would
+/// sit in the subnormal range from step ~1600 on (with a subnormal first
+/// moment beside it); with it, the stored state is never subnormal and
+/// settles at exactly +0.
+TEST(Adam, DeadParameterFlushesToPositiveZero) {
+  ScalarParam m;
+  m.p.value[0] = 1e-30f;
+  Adam adam(m.parameters(), /*learning_rate=*/0.01, 0.9, 0.999,
+            /*epsilon=*/1.0, /*weight_decay=*/1.0);
+  int step = 0;
+  for (; step < 5000; ++step) {
+    adam.step();
+    const float value = m.p.value[0];
+    const float m1 = adam.first_moment(0)[0];
+    const float m2 = adam.second_moment(0)[0];
+    ASSERT_FALSE(is_subnormal(value) || is_subnormal(m1) || is_subnormal(m2))
+        << "step " << step << ": value " << value << ", moments " << m1
+        << ", " << m2;
+    if (value == 0.0f && m1 == 0.0f && m2 == 0.0f) break;
+  }
+  ASSERT_LT(step, 5000) << "the parameter never reached 0";
+  // Once there, it stays at +0 with both moments +0.
+  for (int extra = 0; extra < 10; ++extra) adam.step();
+  EXPECT_EQ(bits_of(m.p.value[0]), 0u);
+  EXPECT_EQ(bits_of(adam.first_moment(0)[0]), 0u);
+  EXPECT_EQ(bits_of(adam.second_moment(0)[0]), 0u);
+}
+
+/// Away from the subnormal range the flush changes nothing: every step
+/// matches the textbook update, written out here, bit for bit.
+TEST(Adam, NormalRangeFollowsTheUnflushedUpdateBitForBit) {
+  ScalarParam m;
+  const double lr = 2e-3, beta1 = 0.9, beta2 = 0.999, eps = 1e-8, wd = 1e-2;
+  Adam adam(m.parameters(), lr, beta1, beta2, eps, wd);
+  const auto f = [](double x) { return static_cast<float>(x); };
+  float value = m.p.value[0];
+  float m1 = 0.0f;
+  float m2 = 0.0f;
+  for (int t = 1; t <= 500; ++t) {
+    // The gradient of (x - 3)^2 plus a wobble, so its sign changes.
+    const float grad = 2.0f * (value - 3.0f) + std::sin(0.1f * t);
+    m.p.grad[0] = grad;
+    adam.step();
+    const float g = grad + f(wd) * value;
+    m1 = f(beta1) * m1 + (1.0f - f(beta1)) * g;
+    m2 = f(beta2) * m2 + (1.0f - f(beta2)) * g * g;
+    const float bias1 = 1.0f - std::pow(f(beta1), static_cast<float>(t));
+    const float bias2 = 1.0f - std::pow(f(beta2), static_cast<float>(t));
+    value -= f(lr) * (m1 / bias1) / (std::sqrt(m2 / bias2) + f(eps));
+    ASSERT_EQ(bits_of(m.p.value[0]), bits_of(value)) << "step " << t;
+    ASSERT_EQ(bits_of(adam.first_moment(0)[0]), bits_of(m1)) << "step " << t;
+    ASSERT_EQ(bits_of(adam.second_moment(0)[0]), bits_of(m2)) << "step " << t;
+  }
 }
 
 TEST(Optimizer, ZeroGradClears) {
