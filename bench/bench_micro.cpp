@@ -578,7 +578,7 @@ EngineBatchSample time_engine_batch(OspArtifacts& artifacts, int reps) {
   sample.frames = frames.size();
   sample.seconds = 1e30;
   for (int r = 0; r < reps; ++r) {
-    // A fresh engine per rep: cache and smoothing state start identical,
+    // A fresh engine per rep: cache state starts identical,
     // so every rep (and every thread count) replays the same plan.
     core::AnoleEngine engine(artifacts.system,
                              core::CacheConfig{.capacity = 5});

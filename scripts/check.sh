@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full correctness gate, eleven named stages:
+# Full correctness gate, ten named stages:
 #
 #   lint      repo lint (token analyzer) + analyzer self-test
 #   release   Release build + tests (warnings are errors)
@@ -7,7 +7,6 @@
 #   asan      ASan+UBSan Debug build + tests
 #   tsan      TSan build + tests (thread pool race check)
 #   faults    tier-1 tests under a canned ANOLE_FAULTS schedule (ASan)
-#   quant     tier-1 tests with ANOLE_QUANT=1 (ASan)
 #   simd      tier-1 tests under forced SIMD dispatch levels (Release)
 #   soak      10k-frame governor soak under overload faults (ASan)
 #   scenarios tier-1 tests under a canned ANOLE_SCENARIO (ASan)
@@ -108,14 +107,6 @@ stage_faults() {
     ctest --test-dir build-asan --output-on-failure -j "$jobs"
 }
 
-stage_quant() {
-  # Forces the int8 fast path on explicitly (it is also the default) so the
-  # quantized kernels, the artifact v3 sections, and the engine's precision
-  # accounting run under ASan+UBSan even if a future change flips the
-  # default off.
-  ANOLE_QUANT=1 ctest --test-dir build-asan --output-on-failure -j "$jobs"
-}
-
 stage_simd() {
   # Pins the SIMD dispatch level below the host's detected one so the
   # scalar reference kernels — normally shadowed by AVX2 — run the full
@@ -168,7 +159,6 @@ run_stage perfbench "benchmark smoke test (perfbench/)"             stage_perfbe
 run_stage asan    "ASan+UBSan Debug build + tests"                 stage_asan
 run_stage tsan    "TSan build + tests (thread pool race check)"    stage_tsan
 run_stage faults  "tier-1 tests under injected faults (ASan)"      stage_faults
-run_stage quant   "tier-1 tests with ANOLE_QUANT=1 (ASan)"         stage_quant
 run_stage simd    "tier-1 tests under forced SIMD levels"          stage_simd
 run_stage soak    "governor soak: 10k frames under faults (ASan)"  stage_soak
 run_stage scenarios "tier-1 tests under ANOLE_SCENARIO (ASan)"     stage_scenarios

@@ -122,7 +122,7 @@ class AnoleMethod : public InferenceMethod {
   /// `system` must outlive this method.
   AnoleMethod(core::AnoleSystem& system, const core::CacheConfig& cache);
 
-  /// Full-control overload (confidence fallback, suitability smoothing).
+  /// Full-control overload (confidence fallback, governor, drift detector).
   AnoleMethod(core::AnoleSystem& system, const core::EngineConfig& config,
               std::string name = "Anole");
 

@@ -36,25 +36,18 @@ DriftDetector::DriftDetector(DriftConfig config) : config_(config) {
   ANOLE_CHECK(config.recalibration_quantile >= 0.0 &&
                   config.recalibration_quantile <= 1.0,
               "DriftDetector: recalibration_quantile must be in [0, 1]");
-  ANOLE_CHECK(config.smoothing_decay > 0.0 && config.smoothing_decay <= 1.0,
-              "DriftDetector: smoothing_decay must be in (0, 1]");
   ANOLE_CHECK_GT(config.latency_threshold_ms, 0.0,
                  "DriftDetector: latency_threshold_ms must be > 0");
   conf_window_.resize(config.window, 0.0);
-  served_window_.resize(config.window, 0);
 }
 
-void DriftDetector::observe_confidence(double top1_confidence,
-                                       bool low_confidence,
-                                       std::size_t served_model) {
+void DriftDetector::observe_confidence(double top1_confidence) {
   // A corrupt (sanitized-negative) confidence is already an anomaly the
   // fault ladder accounts for; clamp so one poisoned frame cannot dump a
   // full threshold of CUSUM mass by itself.
   const double confidence = std::clamp(top1_confidence, 0.0, 1.0);
-  (void)low_confidence;
 
   conf_window_[window_next_] = confidence;
-  served_window_[window_next_] = served_model;
   window_next_ = (window_next_ + 1) % conf_window_.size();
   window_filled_ = std::min(window_filled_ + 1, conf_window_.size());
   ++conf_observed_;
@@ -105,28 +98,7 @@ void DriftDetector::detect_confidence_shift() {
       static_cast<double>(recent.size() - 1));
   const double floor = recent[rank] * config_.recalibration_scale;
 
-  // Stale-model resampling: served in the older half of the (logical)
-  // window, absent from the newer half. Walk the ring in age order.
-  std::vector<std::size_t> ordered;
-  ordered.reserve(window_filled_);
-  for (std::size_t i = 0; i < window_filled_; ++i) {
-    ordered.push_back(served_window_[(start + i) % n]);
-  }
-  const std::size_t half = window_filled_ / 2;
-  std::vector<std::size_t> stale;
-  for (std::size_t i = 0; i < half; ++i) {
-    const std::size_t model = ordered[i];
-    const bool in_recent =
-        std::find(ordered.begin() + half, ordered.end(), model) !=
-        ordered.end();
-    const bool already =
-        std::find(stale.begin(), stale.end(), model) != stale.end();
-    if (!in_recent && !already) stale.push_back(model);
-  }
-  std::sort(stale.begin(), stale.end());
-
-  smoothing_scale_ *= config_.smoothing_decay;
-  pending_ = DriftResponse{floor, smoothing_scale_, std::move(stale)};
+  pending_ = DriftResponse{floor};
   response_pending_ = true;
 
   trace_.push_back(DriftEvent{
@@ -141,9 +113,7 @@ void DriftDetector::detect_confidence_shift() {
   cusum_ = 0.0;
 }
 
-void DriftDetector::observe_latency(double latency_ms,
-                                    bool deadline_overrun) {
-  (void)deadline_overrun;
+void DriftDetector::observe_latency(double latency_ms) {
   ++lat_observed_;
   if (!lat_baseline_ready_) {
     lat_baseline_sum_ += latency_ms;
@@ -175,7 +145,7 @@ DriftResponse DriftDetector::take_response() {
   ANOLE_CHECK(response_pending_,
               "DriftDetector::take_response: no pending response");
   response_pending_ = false;
-  return std::move(pending_);
+  return pending_;
 }
 
 std::uint64_t DriftDetector::trace_hash() const {
@@ -190,7 +160,6 @@ std::uint64_t DriftDetector::trace_hash() const {
 
 void DriftDetector::reset() {
   std::fill(conf_window_.begin(), conf_window_.end(), 0.0);
-  std::fill(served_window_.begin(), served_window_.end(), 0);
   window_next_ = 0;
   window_filled_ = 0;
   baseline_sum_ = 0.0;
@@ -210,7 +179,6 @@ void DriftDetector::reset() {
   latency_detections_ = 0;
   response_pending_ = false;
   pending_ = DriftResponse{};
-  smoothing_scale_ = 1.0;
   trace_.clear();
 }
 

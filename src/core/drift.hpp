@@ -10,19 +10,11 @@
 // observation accumulates S = max(0, S + (baseline - confidence - slack))
 // and a detection fires when S crosses the threshold. Each detection
 // produces a DriftResponse the engine applies on the *next* planned
-// frame:
-//
-//   - suitability-threshold recalibration: the confidence floor is reset
-//     to a quantile of the recent confidence window, so a floor tuned for
-//     the clean regime stops misfiring (constantly rerouting to the
-//     broadest fallback) once the achievable confidence level moves;
-//   - smoothing decay: the temporal-smoothing alpha is scaled down per
-//     detection, so the smoothed suitability state stops dragging stale
-//     scene evidence across segment switches;
-//   - stale-model resampling (ASS-style): models that served in the older
-//     half of the observation window but vanished from the newer half are
-//     flagged; the engine drops its cached ranking and smoothed state so
-//     the next frame re-ranks every model from fresh evidence.
+// frame: the confidence floor is reset to a quantile of the recent
+// confidence window, so a floor tuned for the clean regime stops
+// misfiring (constantly rerouting to the broadest fallback) once the
+// achievable confidence level moves, and the engine drops its cached
+// ranking so the next frame re-ranks every model from fresh evidence.
 //
 // A second CUSUM over observed frame latencies (fed by DeviceSession)
 // counts latency-regime shifts; it never produces a serving response —
@@ -46,8 +38,7 @@ namespace anole::core {
 bool drift_enabled_from_env();
 
 struct DriftConfig {
-  /// Sliding window of confidence observations used for recalibration and
-  /// stale-model resampling.
+  /// Sliding window of confidence observations used for recalibration.
   std::size_t window = 48;
   /// Observations used to establish the clean-regime baseline mean before
   /// the CUSUM arms (and to re-baseline after a detection).
@@ -64,8 +55,6 @@ struct DriftConfig {
   /// Scale applied below the quantile so the recalibrated floor sits
   /// under the new regime's typical confidence instead of on top of it.
   double recalibration_scale = 0.8;
-  /// Multiplier applied to the smoothing alpha per detection.
-  double smoothing_decay = 0.5;
   /// Latency CUSUM slack in ms and threshold (accumulated ms).
   double latency_slack_ms = 4.0;
   double latency_threshold_ms = 120.0;
@@ -97,11 +86,6 @@ struct DriftResponse {
   /// New confidence floor (already quantile-recalibrated); < 0 means the
   /// window was empty and the floor is left unchanged.
   double recalibrated_floor = -1.0;
-  /// Cumulative multiplier for the engine's base smoothing alpha.
-  double smoothing_scale = 1.0;
-  /// Models flagged stale (served in the older half of the window, absent
-  /// from the newer half); the engine re-ranks from fresh evidence.
-  std::vector<std::size_t> stale_models;
 };
 
 class DriftDetector {
@@ -110,13 +94,12 @@ class DriftDetector {
 
   /// One observation per decision-model run (fresh rankings only —
   /// dropped frames and throttled ranking reuses produce no new decision
-  /// evidence). `served_model` feeds the stale-model window.
-  void observe_confidence(double top1_confidence, bool low_confidence,
-                          std::size_t served_model);
+  /// evidence).
+  void observe_confidence(double top1_confidence);
 
   /// One observation per executed frame's measured latency (fed by
   /// DeviceSession). Never produces a serving response.
-  void observe_latency(double latency_ms, bool deadline_overrun);
+  void observe_latency(double latency_ms);
 
   /// True when a confidence detection has fired and its response has not
   /// been consumed yet.
@@ -153,9 +136,8 @@ class DriftDetector {
   void detect_confidence_shift();
 
   DriftConfig config_;
-  /// Ring buffers over the last `config_.window` observations.
+  /// Ring buffer over the last `config_.window` observations.
   std::vector<double> conf_window_;
-  std::vector<std::size_t> served_window_;
   std::size_t window_next_ = 0;
   std::size_t window_filled_ = 0;
   /// Baseline accumulation (restarts after every detection).
@@ -177,7 +159,6 @@ class DriftDetector {
   std::uint64_t latency_detections_ = 0;
   bool response_pending_ = false;
   DriftResponse pending_;
-  double smoothing_scale_ = 1.0;
   std::vector<DriftEvent> trace_;
 };
 

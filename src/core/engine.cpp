@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 
@@ -24,19 +23,6 @@ bool is_damaged(const AnoleSystem& system, std::size_t model) {
                    model) != system.damaged_models.end();
 }
 
-/// Parses ANOLE_MEM_BUDGET_MB (paper-equivalent MB, fractional allowed);
-/// 0 when unset, empty, or unparseable.
-double mem_budget_mb_from_env() {
-  const char* value = std::getenv("ANOLE_MEM_BUDGET_MB");
-  if (value == nullptr || *value == '\0') return 0.0;
-  char* end = nullptr;
-  const double mb = std::strtod(value, &end);
-  ANOLE_CHECK(end != value && *end == '\0' && mb > 0.0,
-              "ANOLE_MEM_BUDGET_MB: expected a positive number, got '",
-              value, "'");
-  return mb;
-}
-
 }  // namespace
 
 AnoleEngine::AnoleEngine(AnoleSystem& system, const EngineConfig& config)
@@ -50,10 +36,6 @@ AnoleEngine::AnoleEngine(AnoleSystem& system, const EngineConfig& config)
   ANOLE_CHECK(!system.repository.empty(),
               "AnoleEngine: empty model repository");
   ANOLE_CHECK_NOTNULL(system.decision, "AnoleEngine: missing decision model");
-  ANOLE_CHECK(config.suitability_smoothing >= 0.0 &&
-                  config.suitability_smoothing < 1.0,
-              "AnoleEngine: smoothing must be in [0, 1), got ",
-              config.suitability_smoothing);
   ANOLE_CHECK_GE(config.confidence_floor, 0.0,
                  "AnoleEngine: negative confidence floor");
   ANOLE_CHECK_EQ(system.decision->model_count(), system.repository.size(),
@@ -86,34 +68,19 @@ AnoleEngine::AnoleEngine(AnoleSystem& system, const EngineConfig& config)
   // artifact sections already report their smaller size).
   std::vector<std::uint64_t> model_bytes;
   model_bytes.reserve(system.repository.size());
-  std::uint64_t reference_bytes = 0;
   for (std::size_t m = 0; m < system.repository.size(); ++m) {
-    const std::uint64_t bytes = system.repository.detector(m).weight_bytes();
-    model_bytes.push_back(bytes);
-    reference_bytes = std::max(reference_bytes, bytes);
+    model_bytes.push_back(system.repository.detector(m).weight_bytes());
   }
   cache_.set_model_bytes(model_bytes);
-  if (config.cache.memory_budget_bytes == 0) {
-    // ANOLE_MEM_BUDGET_MB speaks paper-equivalent MB, where one full
-    // compressed model is the device simulator's ~40 paper-MB reference
-    // (device/profile.hpp MemoryModel); damaged placeholders are smaller,
-    // so the largest real model anchors the conversion.
-    const double budget_mb = mem_budget_mb_from_env();
-    if (budget_mb > 0.0) {
-      cache_.set_memory_budget_bytes(static_cast<std::uint64_t>(
-          budget_mb / 40.0 * static_cast<double>(reference_bytes)));
-    }
-  }
 
   governor_ =
       core::governor_enabled_from_env() ? config.governor : nullptr;
   drift_ = core::drift_enabled_from_env() ? config.drift : nullptr;
   effective_floor_ = config.confidence_floor;
-  effective_smoothing_ = config.suitability_smoothing;
 }
 
 AnoleEngine::AnoleEngine(AnoleSystem& system, const CacheConfig& cache_config)
-    : AnoleEngine(system, EngineConfig{cache_config, 0.0, 0.0, nullptr}) {}
+    : AnoleEngine(system, EngineConfig{cache_config, 0.0, nullptr}) {}
 
 EngineResult AnoleEngine::process(const world::Frame& frame) {
   const Tensor descriptor = featurizer_.featurize(frame);
@@ -136,7 +103,8 @@ std::vector<EngineResult> AnoleEngine::process_batch(
   const Tensor descriptors = featurizer_.featurize_batch(frames);
   const Tensor probs = system_->decision->suitability(descriptors);
   // Plan stage, sequential in frame order: every piece of mutable engine
-  // state — smoothing, governor, cache admission, fault draws, counters —
+  // state — governor, drift response, cache admission, fault draws,
+  // counters —
   // advances here exactly as the frame-by-frame path would.
   results.resize(frames.size());
   constexpr std::size_t kNoDetect = ~std::size_t{0};
@@ -182,7 +150,7 @@ std::optional<std::size_t> AnoleEngine::plan_with_suitability(
   result.governor_state = directive.state;
 
   if (directive.drop_frame) {
-    // Shed outright: no smoothing update, no cache admission, no fault
+    // Shed outright: no ranking, no cache admission, no fault
     // draws, no detector — the frame's only trace is this record. The
     // previous served model is reported so downstream accounting has a
     // stable id.
@@ -197,10 +165,9 @@ std::optional<std::size_t> AnoleEngine::plan_with_suitability(
   // Drift response (DESIGN.md §14), applied forward: a detection observed
   // on an earlier frame lands here, before this frame's ranking, so the
   // response never re-runs a ranking (and its fault draws) mid-frame.
-  // Recalibrate the floor, decay the smoothing alpha, and drop every
-  // piece of stale scene evidence — the smoothed suitability state and
-  // the cached ranking — so the next sort re-ranks all models fresh even
-  // while the governor is throttling ranking refreshes.
+  // Recalibrate the floor and drop the cached ranking, so this frame
+  // re-ranks all models fresh even while the governor is throttling
+  // ranking refreshes.
   if (drift_ != nullptr && drift_->response_pending()) {
     const DriftResponse response = drift_->take_response();
     result.health.drift_detected = true;
@@ -211,9 +178,6 @@ std::optional<std::size_t> AnoleEngine::plan_with_suitability(
       result.health.drift_recalibrated = true;
       ++drift_recalibrations_;
     }
-    effective_smoothing_ =
-        config_.suitability_smoothing * response.smoothing_scale;
-    smoothed_suitability_.clear();
     last_ranking_.clear();
   }
 
@@ -223,7 +187,7 @@ std::optional<std::size_t> AnoleEngine::plan_with_suitability(
   if (reuse_ranking) {
     // Throttled MSS: replay the previous frame's ranking (post
     // confidence-fallback rotation) without running the decision tail —
-    // no smoothing update, no decision fault draw, no top1 credit.
+    // no decision fault draw, no top1 credit.
     ranking = last_ranking_;
     result.ranking_reused = true;
     ++reused_ranking_frames_;
@@ -272,8 +236,7 @@ std::optional<std::size_t> AnoleEngine::plan_with_suitability(
   // the detector's observation stream (and trace hash) is a pure function
   // of the fresh-ranking sequence, identical across thread counts.
   if (drift_ != nullptr && !reuse_ranking) {
-    drift_->observe_confidence(result.top1_confidence, result.low_confidence,
-                               admission.served_model);
+    drift_->observe_confidence(result.top1_confidence);
   }
 
   result.model_switched =
@@ -286,7 +249,7 @@ std::optional<std::size_t> AnoleEngine::plan_with_suitability(
 
 std::vector<std::size_t> AnoleEngine::rank_suitability(
     EngineResult& result, std::span<const float> probs) {
-  // MSS tail: optional temporal smoothing of the suitability vector.
+  // MSS tail: rank this frame's own suitability vector.
   const std::size_t n = system_->repository.size();
   std::vector<double> suitability(probs.begin(), probs.end());
   // Injected decision corruption: one entry turns non-finite, exercising
@@ -298,7 +261,7 @@ std::vector<std::size_t> AnoleEngine::rank_suitability(
   }
   // NaN/Inf guard: a non-finite suitability entry is treated as "below
   // the confidence floor" — sanitized to rank last — instead of poisoning
-  // the sort and the smoothed state.
+  // the sort.
   for (double& value : suitability) {
     if (!std::isfinite(value)) {
       value = kCorruptSuitability;
@@ -307,25 +270,16 @@ std::vector<std::size_t> AnoleEngine::rank_suitability(
   }
   if (result.health.nonfinite_suitability) ++nonfinite_frames_;
 
-  if (smoothed_suitability_.size() != n) {
-    smoothed_suitability_ = suitability;
-  } else {
-    const double alpha = effective_smoothing_;
-    for (std::size_t m = 0; m < n; ++m) {
-      smoothed_suitability_[m] =
-          alpha * smoothed_suitability_[m] + (1.0 - alpha) * suitability[m];
-    }
-  }
   std::vector<std::size_t> ranking(n);
   std::iota(ranking.begin(), ranking.end(), std::size_t{0});
   std::sort(ranking.begin(), ranking.end(), [&](std::size_t a, std::size_t b) {
-    if (smoothed_suitability_[a] != smoothed_suitability_[b]) {
-      return smoothed_suitability_[a] > smoothed_suitability_[b];
+    if (suitability[a] != suitability[b]) {
+      return suitability[a] > suitability[b];
     }
     return a < b;  // deterministic tie-break
   });
   result.top1_model = ranking[0];
-  result.top1_confidence = smoothed_suitability_[ranking[0]];
+  result.top1_confidence = suitability[ranking[0]];
   ++top1_counts_[ranking[0]];
 
   // Case-3 fallback: no model looks suitable — or the whole vector was

@@ -1,8 +1,9 @@
 // Online Model Inference (OMI, paper section V): per-frame model selection
-// (MSS), cache-based deployment (CMD), and model inference (MI), plus two
-// optional extensions the paper motivates: a decision-confidence fallback
+// (MSS), cache-based deployment (CMD), and model inference (MI), plus an
+// optional extension the paper motivates: a decision-confidence fallback
 // for samples outside every model's distribution (problem-formulation
-// case 3) and temporal smoothing of the suitability vector.
+// case 3). MSS ranks every frame from that frame's suitability vector
+// alone; no suitability state carries from one frame to the next.
 //
 // The online path is fault-tolerant (DESIGN.md §9): model loads can fail
 // (bounded retry + quarantine in the cache), suitability vectors are
@@ -44,12 +45,7 @@ struct AnoleSystem {
 
 struct EngineConfig {
   CacheConfig cache;
-  /// Exponential smoothing factor applied to the suitability vector across
-  /// consecutive frames: s_t = alpha * s_{t-1} + (1-alpha) * p_t.
-  /// 0 reproduces the paper's pure per-frame selection; ~0.5 damps model
-  /// thrashing on noisy streams at the cost of slower scene switches.
-  double suitability_smoothing = 0.0;
-  /// When the (smoothed) top-1 suitability probability falls below this
+  /// When the top-1 suitability probability falls below this
   /// floor, the frame is treated as outside every Psi_i and served by the
   /// broadest model in the repository (the paper's case-3 best effort).
   /// 0 disables the fallback.
@@ -64,8 +60,8 @@ struct EngineConfig {
   /// owned; must outlive the engine.
   core::RuntimeGovernor* governor = nullptr;
   /// Drift detector fed one confidence observation per decision-model run
-  /// (DESIGN.md §14); its responses recalibrate the confidence floor,
-  /// decay the smoothing alpha, and force a re-rank. Null (the default)
+  /// (DESIGN.md §14); its responses recalibrate the confidence floor and
+  /// force a re-rank. Null (the default)
   /// means no drift response; the pointer is also ignored when
   /// ANOLE_DRIFT=0, reproducing the unadapted timeline exactly. Not
   /// owned; must outlive the engine.
@@ -91,7 +87,7 @@ struct EngineResult {
     /// Model newly quarantined while processing this frame, if any.
     std::optional<std::size_t> quarantined;
     /// True when the serving detector ran int8-quantized layers (the
-    /// artifact v3 fast path); false for fp32 or payload-corrupt frames.
+    /// artifact v3 int8 path); false for fp32 or payload-corrupt frames.
     bool served_quantized = false;
     /// True when the governor shed this frame: no detector ran,
     /// detections are empty, served_model repeats the previous frame.
@@ -101,7 +97,7 @@ struct EngineResult {
     /// load) and the best resident model served instead.
     bool swap_suppressed = false;
     /// True when a pending drift response was applied while planning this
-    /// frame (smoothed state reset, ranking refresh forced).
+    /// frame (ranking refresh forced).
     bool drift_detected = false;
     /// True when that response also recalibrated the confidence floor.
     bool drift_recalibrated = false;
@@ -140,8 +136,8 @@ class AnoleEngine {
 
   /// Processes `frames` in stream order in three stages. Featurization
   /// and the decision model's embedding run once over the whole batch
-  /// (batched matmuls). The stateful plan stage (temporal smoothing,
-  /// governor directives, cache admission, every fault draw and counter)
+  /// (batched matmuls). The stateful plan stage (governor directives,
+  /// drift responses, cache admission, every fault draw and counter)
   /// then runs sequentially in frame order. Finally the detect stage fans
   /// out across frames through the const Detector::infer path — per-frame
   /// detections depend only on that frame's planned model, and nested
@@ -206,9 +202,6 @@ class AnoleEngine {
   /// The confidence floor currently in effect (config value until a drift
   /// response recalibrates it).
   double effective_confidence_floor() const { return effective_floor_; }
-  /// The smoothing alpha currently in effect (config value scaled down by
-  /// drift responses).
-  double effective_smoothing() const { return effective_smoothing_; }
   /// The drift detector in effect; null when detached (none configured or
   /// ANOLE_DRIFT=0).
   core::DriftDetector* drift() const { return drift_; }
@@ -236,7 +229,7 @@ class AnoleEngine {
   std::optional<std::size_t> plan_with_suitability(
       EngineResult& result, std::span<const float> probs);
 
-  /// MSS tail: smoothing, NaN guard, ranking sort, confidence fallback.
+  /// MSS tail: NaN guard, ranking sort, confidence fallback.
   /// Fills the top-1 fields of `result` and stores the ranking for
   /// throttled reuse.
   std::vector<std::size_t> rank_suitability(EngineResult& result,
@@ -248,7 +241,6 @@ class AnoleEngine {
   ModelCache cache_;
   world::FrameFeaturizer featurizer_;
   std::vector<std::size_t> top1_counts_;
-  std::vector<double> smoothed_suitability_;
   std::size_t fallback_model_ = 0;
   std::size_t switches_ = 0;
   std::size_t frames_ = 0;
@@ -267,10 +259,9 @@ class AnoleEngine {
   core::DriftDetector* drift_ = nullptr;
   std::size_t drift_responses_ = 0;
   std::size_t drift_recalibrations_ = 0;
-  /// Floor/alpha currently in effect; start at the config values and move
-  /// only when a drift response lands.
+  /// Floor currently in effect; starts at the config value and moves only
+  /// when a drift response lands.
   double effective_floor_ = 0.0;
-  double effective_smoothing_ = 0.0;
   /// Previous frame's ranking (post confidence-fallback rotation) and
   /// top-1 fields, replayed on throttled ranking reuse.
   std::vector<std::size_t> last_ranking_;

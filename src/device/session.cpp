@@ -48,7 +48,7 @@ double DeviceSession::process(const FrameCost& cost) {
   overrun_flags_.push_back(overrun ? 1 : 0);
   total_ms_ += latency;
   if (governor_ != nullptr) governor_->observe(latency, overrun);
-  if (drift_ != nullptr) drift_->observe_latency(latency, overrun);
+  if (drift_ != nullptr) drift_->observe_latency(latency);
   return latency;
 }
 

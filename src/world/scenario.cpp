@@ -17,9 +17,9 @@ namespace {
 constexpr std::array<const char*, kScenarioPackCount> kPackNames = {
     "drift", "degrade", "bursts", "diurnal"};
 
-/// Frames per scenario segment: long enough for the temporal-smoothing
-/// and cache dynamics to matter, short enough that a hostile mix shift
-/// produces many scene transitions per stream.
+/// Frames per scenario segment: long enough for the cache dynamics to
+/// matter, short enough that a hostile mix shift produces many scene
+/// transitions per stream.
 constexpr std::size_t kSegmentLength = 30;
 
 /// Frames scheduled before they paint (rounded up to whole segments): 64

@@ -1,15 +1,19 @@
-// Deployment-artifact round trips and the engine extensions (confidence
-// fallback, suitability smoothing), sharing one trained system.
+// Deployment-artifact round trips and the engine's per-frame MSS and
+// confidence fallback, sharing one trained system.
 #include "core/artifact.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -20,6 +24,7 @@
 #include "eval/f1_series.hpp"
 #include "nn/serialize.hpp"
 #include "util/log.hpp"
+#include "world/featurizer.hpp"
 
 namespace anole::core {
 namespace {
@@ -188,37 +193,37 @@ TEST_F(ArtifactTest, ZeroFloorNeverTriggersFallback) {
   EXPECT_EQ(engine.low_confidence_frames(), 0u);
 }
 
-TEST_F(ArtifactTest, SmoothingReducesModelSwitches) {
-  const auto frames = world_->frames_with_role(world::SplitRole::kTest);
-  EngineConfig raw;
-  raw.cache.capacity = 8;
-  AnoleEngine per_frame(*system_, raw);
-  EngineConfig smoothed = raw;
-  smoothed.suitability_smoothing = 0.8;
-  AnoleEngine damped(*system_, smoothed);
-  for (const world::Frame* frame : frames) {
-    (void)per_frame.process(*frame);
-    (void)damped.process(*frame);
-  }
-  EXPECT_LE(damped.model_switches(), per_frame.model_switches());
-}
-
-TEST_F(ArtifactTest, InvalidSmoothingRejected) {
+TEST_F(ArtifactTest, InvalidConfidenceFloorRejected) {
   EngineConfig config;
-  config.suitability_smoothing = 1.0;
-  EXPECT_THROW(AnoleEngine(*system_, config), std::invalid_argument);
-  config.suitability_smoothing = -0.1;
+  config.confidence_floor = -0.1;
   EXPECT_THROW(AnoleEngine(*system_, config), std::invalid_argument);
 }
 
+/// Plain per-frame MSS: every frame's top-1 is the argmax (lowest index on
+/// ties) of that frame's own suitability vector, and the reported
+/// confidence is that maximum, bit for bit — no state from earlier frames.
 TEST_F(ArtifactTest, Top1ConfidenceReported) {
   CacheConfig cache_config;
   cache_config.capacity = 4;
   AnoleEngine engine(*system_, cache_config);
+  const world::FrameFeaturizer featurizer;
   const auto frames = world_->frames_with_role(world::SplitRole::kTest);
-  const auto result = engine.process(*frames[0]);
-  EXPECT_GT(result.top1_confidence, 0.0);
-  EXPECT_LE(result.top1_confidence, 1.0);
+  ASSERT_GE(frames.size(), 20u);
+  const std::size_t count = std::min<std::size_t>(frames.size(), 32);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Tensor probs =
+        system_->decision->suitability(featurizer.featurize(*frames[i]));
+    const std::span<const float> row = probs.row(0);
+    // max_element returns the first maximum: the lowest index on ties.
+    const auto argmax = static_cast<std::size_t>(
+        std::max_element(row.begin(), row.end()) - row.begin());
+    const double expected = row[argmax];
+    const auto result = engine.process(*frames[i]);
+    EXPECT_EQ(result.top1_model, argmax) << "frame " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.top1_confidence),
+              std::bit_cast<std::uint64_t>(expected))
+        << "frame " << i;
+  }
 }
 
 // --- self-healing artifact layout ---

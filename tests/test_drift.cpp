@@ -51,7 +51,7 @@ TEST(DriftDetector, EnabledFromEnvHonorsVariable) {
 TEST(DriftDetector, StationaryStreamNeverFires) {
   DriftDetector detector(tight_config());
   for (int i = 0; i < 500; ++i) {
-    detector.observe_confidence(0.8, false, 0);
+    detector.observe_confidence(0.8);
   }
   EXPECT_EQ(detector.detections(), 0u);
   EXPECT_FALSE(detector.response_pending());
@@ -60,11 +60,11 @@ TEST(DriftDetector, StationaryStreamNeverFires) {
 
 TEST(DriftDetector, DetectsConfidenceCollapse) {
   DriftDetector detector(tight_config());
-  for (int i = 0; i < 16; ++i) detector.observe_confidence(0.8, false, 0);
+  for (int i = 0; i < 16; ++i) detector.observe_confidence(0.8);
   ASSERT_EQ(detector.detections(), 0u);
   int fired_after = -1;
   for (int i = 0; i < 50; ++i) {
-    detector.observe_confidence(0.3, true, 1);
+    detector.observe_confidence(0.3);
     if (detector.detections() > 0) {
       fired_after = i;
       break;
@@ -81,57 +81,31 @@ TEST(DriftDetector, DetectsConfidenceCollapse) {
   // confidence, not the clean one.
   EXPECT_GT(response.recalibrated_floor, 0.0);
   EXPECT_LT(response.recalibrated_floor, 0.3);
-  EXPECT_DOUBLE_EQ(response.smoothing_scale, 0.5);
 }
 
 TEST(DriftDetector, RebaselinesAndDecaysPerDetection) {
   DriftDetector detector(tight_config());
-  for (int i = 0; i < 16; ++i) detector.observe_confidence(0.8, false, 0);
-  for (int i = 0; i < 60; ++i) detector.observe_confidence(0.4, true, 0);
+  for (int i = 0; i < 16; ++i) detector.observe_confidence(0.8);
+  for (int i = 0; i < 60; ++i) detector.observe_confidence(0.4);
   ASSERT_EQ(detector.detections(), 1u);
-  (void)detector.take_response();
+  const double first_floor = detector.take_response().recalibrated_floor;
   // The detector re-baselined on the 0.4 regime: staying there is quiet…
-  for (int i = 0; i < 100; ++i) detector.observe_confidence(0.4, true, 0);
+  for (int i = 0; i < 100; ++i) detector.observe_confidence(0.4);
   EXPECT_EQ(detector.detections(), 1u);
-  // …and a second collapse fires a second, further-decayed response.
-  for (int i = 0; i < 60; ++i) detector.observe_confidence(0.05, true, 0);
+  // …and a second collapse fires a second response whose floor decays
+  // into the new, lower regime.
+  for (int i = 0; i < 60; ++i) detector.observe_confidence(0.05);
   ASSERT_EQ(detector.detections(), 2u);
-  EXPECT_DOUBLE_EQ(detector.take_response().smoothing_scale, 0.25);
-}
-
-TEST(DriftDetector, FlagsStaleModels) {
-  DriftDetector detector(tight_config());
-  // Baseline and the older window half served by model 0; the collapse
-  // regime is served by model 1 — model 0 is the stale one.
-  for (int i = 0; i < 16; ++i) detector.observe_confidence(0.8, false, 0);
-  for (int i = 0; i < 60 && detector.detections() == 0; ++i) {
-    detector.observe_confidence(0.3, true, 1);
-  }
-  // The two-frame collapse window keeps plenty of model-0 history in the
-  // older half; force more model-1 evidence before inspecting.
-  DriftDetector slow(DriftConfig{.window = 16,
-                                 .baseline_window = 16,
-                                 .cusum_slack = 0.05,
-                                 .cusum_threshold = 4.0,
-                                 .min_separation = 8});
-  for (int i = 0; i < 16; ++i) slow.observe_confidence(0.8, false, 0);
-  for (int i = 0; i < 100 && slow.detections() == 0; ++i) {
-    slow.observe_confidence(0.3, true, 1);
-  }
-  ASSERT_EQ(slow.detections(), 1u);
-  const DriftResponse response = slow.take_response();
-  // By detection time the window's newer half is all model 1; model 0
-  // only survives in the older half (if at all). Either the stale list
-  // names model 0 or the window has fully turned over — never model 1.
-  for (const std::size_t model : response.stale_models) {
-    EXPECT_EQ(model, 0u);
-  }
+  const double second_floor = detector.take_response().recalibrated_floor;
+  EXPECT_GT(second_floor, 0.0);
+  EXPECT_LT(second_floor, 0.05);
+  EXPECT_LT(second_floor, first_floor);
 }
 
 TEST(DriftDetector, LatencyShiftIsInformationalOnly) {
   DriftDetector detector(tight_config());
-  for (int i = 0; i < 16; ++i) detector.observe_latency(10.0, false);
-  for (int i = 0; i < 50; ++i) detector.observe_latency(40.0, true);
+  for (int i = 0; i < 16; ++i) detector.observe_latency(10.0);
+  for (int i = 0; i < 50; ++i) detector.observe_latency(40.0);
   EXPECT_GE(detector.latency_detections(), 1u);
   EXPECT_EQ(detector.detections(), 0u);
   EXPECT_FALSE(detector.response_pending());
@@ -139,8 +113,8 @@ TEST(DriftDetector, LatencyShiftIsInformationalOnly) {
 
 TEST(DriftDetector, TraceHashIsReplayableAndSensitive) {
   const auto feed = [](DriftDetector& detector, double late) {
-    for (int i = 0; i < 16; ++i) detector.observe_confidence(0.8, false, 0);
-    for (int i = 0; i < 80; ++i) detector.observe_confidence(late, true, 1);
+    for (int i = 0; i < 16; ++i) detector.observe_confidence(0.8);
+    for (int i = 0; i < 80; ++i) detector.observe_confidence(late);
   };
   DriftDetector a(tight_config());
   DriftDetector b(tight_config());
@@ -165,9 +139,6 @@ TEST(DriftDetector, ContractChecks) {
   EXPECT_THROW(DriftDetector{bad}, ContractViolation);
   bad = DriftConfig{};
   bad.cusum_threshold = 0.0;
-  EXPECT_THROW(DriftDetector{bad}, ContractViolation);
-  bad = DriftConfig{};
-  bad.smoothing_decay = 0.0;
   EXPECT_THROW(DriftDetector{bad}, ContractViolation);
 }
 
@@ -210,12 +181,11 @@ class EngineDriftTest : public ::testing::Test {
     world_.reset();
   }
 
-  /// A frozen-baseline engine config: heavy smoothing plus a fixed
-  /// confidence floor calibrated for the clean mix (what drifts badly).
-  static EngineConfig frozen_config() {
+  /// Plain per-frame MSS with a fixed confidence floor calibrated for
+  /// the clean mix — the one setting a drift response recalibrates.
+  static EngineConfig floored_config() {
     EngineConfig config;
     config.cache.capacity = 3;
-    config.suitability_smoothing = 0.9;
     config.confidence_floor = 0.35;
     return config;
   }
@@ -245,13 +215,13 @@ std::unique_ptr<world::ScenarioStream> EngineDriftTest::stream_;
 /// on the next planned frame.
 TEST_F(EngineDriftTest, ResponderAppliesPendingResponse) {
   DriftDetector detector(tight_config());
-  for (int i = 0; i < 16; ++i) detector.observe_confidence(0.8, false, 0);
-  for (int i = 0; i < 8; ++i) detector.observe_confidence(0.1, true, 1);
+  for (int i = 0; i < 16; ++i) detector.observe_confidence(0.8);
+  for (int i = 0; i < 8; ++i) detector.observe_confidence(0.1);
   ASSERT_EQ(detector.detections(), 1u);
   ASSERT_TRUE(detector.response_pending());
   const std::size_t prior_obs = detector.confidence_observations();
 
-  EngineConfig config = frozen_config();
+  EngineConfig config = floored_config();
   config.drift = &detector;
   AnoleEngine engine(*system_, config);
   ASSERT_EQ(engine.drift(), &detector);
@@ -261,11 +231,9 @@ TEST_F(EngineDriftTest, ResponderAppliesPendingResponse) {
   EXPECT_EQ(engine.drift_responses(), 1u);
   EXPECT_EQ(engine.drift_recalibrations(), 1u);
   EXPECT_FALSE(detector.response_pending());
-  // The floor recalibrated into the collapsed regime and the smoothing
-  // alpha decayed by the configured factor.
+  // The floor recalibrated into the collapsed regime.
   EXPECT_GT(engine.effective_confidence_floor(), 0.0);
   EXPECT_LT(engine.effective_confidence_floor(), 0.35);
-  EXPECT_DOUBLE_EQ(engine.effective_smoothing(), 0.9 * 0.5);
 
   // The engine keeps feeding the detector: one observation per fresh
   // ranking, and response accounting stays consistent frame over frame.
@@ -280,17 +248,17 @@ TEST_F(EngineDriftTest, ResponderAppliesPendingResponse) {
 
 TEST_F(EngineDriftTest, BatchMatchesSerialWithDriftAttached) {
   const auto prime = [](DriftDetector& detector) {
-    for (int i = 0; i < 16; ++i) detector.observe_confidence(0.8, false, 0);
-    for (int i = 0; i < 8; ++i) detector.observe_confidence(0.1, true, 1);
+    for (int i = 0; i < 16; ++i) detector.observe_confidence(0.8);
+    for (int i = 0; i < 8; ++i) detector.observe_confidence(0.1);
   };
   DriftDetector serial_detector(tight_config());
   DriftDetector batch_detector(tight_config());
   prime(serial_detector);
   prime(batch_detector);
   ASSERT_TRUE(serial_detector.response_pending());
-  EngineConfig serial_config = frozen_config();
+  EngineConfig serial_config = floored_config();
   serial_config.drift = &serial_detector;
-  EngineConfig batch_config = frozen_config();
+  EngineConfig batch_config = floored_config();
   batch_config.drift = &batch_detector;
   AnoleEngine serial(*system_, serial_config);
   AnoleEngine batch(*system_, batch_config);
@@ -321,7 +289,7 @@ TEST_F(EngineDriftTest, AnoleDrift0DetachesExactly) {
   const std::string saved_value = saved == nullptr ? "" : saved;
 
   // Baseline: no detector configured at all.
-  EngineConfig plain_config = frozen_config();
+  EngineConfig plain_config = floored_config();
   AnoleEngine plain(*system_, plain_config);
   std::vector<std::size_t> plain_served;
   for (const world::Frame& frame : stream_->clip.frames) {
@@ -332,7 +300,7 @@ TEST_F(EngineDriftTest, AnoleDrift0DetachesExactly) {
   // must reproduce exactly, and the detector must never be consulted.
   ::setenv("ANOLE_DRIFT", "0", 1);
   DriftDetector detector;
-  EngineConfig detached_config = frozen_config();
+  EngineConfig detached_config = floored_config();
   detached_config.drift = &detector;
   AnoleEngine detached(*system_, detached_config);
   EXPECT_EQ(detached.drift(), nullptr);

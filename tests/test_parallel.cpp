@@ -491,7 +491,6 @@ RunSnapshot run_profiler_snapshot(std::size_t threads) {
 
   core::EngineConfig engine_config;
   engine_config.cache.capacity = 3;
-  engine_config.suitability_smoothing = 0.3;
   core::AnoleEngine sequential_engine(system, engine_config);
   for (const world::Frame* frame : sample) {
     const auto result = sequential_engine.process(*frame);

@@ -57,8 +57,8 @@ std::uint64_t drift_hash() {
   config.cusum_threshold = 0.5;
   config.min_separation = 8;
   core::DriftDetector detector(config);
-  for (int i = 0; i < 16; ++i) detector.observe_confidence(0.8, false, 0);
-  for (int i = 0; i < 80; ++i) detector.observe_confidence(0.3, true, 1);
+  for (int i = 0; i < 16; ++i) detector.observe_confidence(0.8);
+  for (int i = 0; i < 80; ++i) detector.observe_confidence(0.3);
   return detector.trace_hash();
 }
 
