@@ -17,7 +17,6 @@ namespace {
 
 constexpr const char* kFaultSpec =
     "seed=2024,model_load=0.01,load_latency_spike=0.02x25";
-constexpr double kDeadlineMs = 33.3;  // 30 FPS budget
 
 struct RunStats {
   double f1 = 0.0;
@@ -42,12 +41,7 @@ int main() {
                       "degradation ladder: 1% load failures vs clean");
 
   auto stack = bench::train_standard_stack();
-  Rng rng(21);
-  std::vector<world::Clip> spliced;
-  for (int t = 0; t < 4; ++t) {
-    spliced.push_back(
-        world::synthesize_fast_changing_clip(stack.world, 5, 100, rng));
-  }
+  const auto spliced = bench::fast_changing_clips(stack.world, 4, 21);
   std::size_t total_frames = 0;
   for (const auto& clip : spliced) total_frames += clip.frames.size();
   std::fprintf(stderr, "[bench_fault] streaming %zu spliced frames\n",
@@ -57,7 +51,6 @@ int main() {
       stack.system.repository.detector(0).flops_per_frame());
   const device::MemoryModel memory(
       stack.system.repository.detector(0).weight_bytes());
-  const std::uint64_t decision_flops = stack.system.decision->flops_per_sample();
 
   // One full pass: engine + simulated device, driven by `faults`. An
   // unarmed injector gives the clean baseline (and keeps the run immune
@@ -73,23 +66,8 @@ int main() {
       for (const auto& frame : clip.frames) {
         const auto result = engine.process(frame);
         counts += detect::match_detections(result.detections, frame.objects);
-        const double weight_mb = memory.load_mb(
-            stack.system.repository.detector(result.served_model)
-                .weight_bytes());
-        device::FrameCost cost;
-        cost.decision_flops = decision_flops;
-        cost.detector_flops = stack.system.repository
-                                  .detector(result.served_model)
-                                  .flops_per_frame();
-        cost.loaded_weight_mb = result.model_loaded ? weight_mb : 0.0;
-        // Failed attempts re-stream the same weights before succeeding
-        // (or abandoning); the device pays for every attempt.
-        const std::size_t failed_attempts =
-            result.health.load_attempts - (result.model_loaded ? 1 : 0);
-        cost.retried_weight_mb =
-            static_cast<double>(failed_attempts) * weight_mb;
-        cost.deadline_ms = kDeadlineMs;
-        (void)session.process(cost);
+        (void)session.process(device::frame_cost(stack.system, result, memory,
+                                                 bench::kDeadlineMs));
       }
     }
     RunStats stats;
@@ -142,46 +120,30 @@ int main() {
   std::printf("expected shape: F1 and hit rate within noise of clean; "
               "latency tail absorbs the retries and spikes.\n");
 
-  std::FILE* out = std::fopen("BENCH_fault.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "[bench_fault] cannot open BENCH_fault.json\n");
-    return 1;
-  }
-  const auto emit = [out](const char* name, const RunStats& stats,
-                          const char* suffix) {
-    std::fprintf(out, "  \"%s\": {\n", name);
-    std::fprintf(out, "    \"f1\": %.4f,\n", stats.f1);
-    std::fprintf(out, "    \"hit_rate\": %.4f,\n", stats.hit_rate);
-    std::fprintf(out, "    \"mean_latency_ms\": %.3f,\n",
-                 stats.mean_latency_ms);
-    std::fprintf(out, "    \"p95_latency_ms\": %.3f,\n",
-                 stats.p95_latency_ms);
-    std::fprintf(out, "    \"deadline_overruns\": %zu,\n",
-                 stats.deadline_overruns);
-    std::fprintf(out, "    \"load_failures\": %zu,\n", stats.load_failures);
-    std::fprintf(out, "    \"abandoned_loads\": %zu,\n",
-                 stats.abandoned_loads);
-    std::fprintf(out, "    \"quarantine_events\": %zu,\n",
-                 stats.quarantine_events);
-    std::fprintf(out, "    \"degraded_frames\": %zu,\n",
-                 stats.degraded_frames);
-    std::fprintf(out, "    \"injected_total\": %llu,\n",
-                 static_cast<unsigned long long>(stats.injected_total));
-    std::fprintf(out, "    \"trace_hash\": \"%016llx\"\n",
-                 static_cast<unsigned long long>(stats.trace_hash));
-    std::fprintf(out, "  }%s\n", suffix);
+  JsonWriter json;
+  bench::write_provenance(json);
+  json.integer("frames", total_frames)
+      .string("fault_spec", kFaultSpec)
+      .number("deadline_ms", bench::kDeadlineMs, 1)
+      .boolean("replay_identical", replay_identical);
+  const auto emit = [&json](const char* name, const RunStats& stats) {
+    json.begin_object(name)
+        .number("f1", stats.f1, 4)
+        .number("hit_rate", stats.hit_rate, 4)
+        .number("mean_latency_ms", stats.mean_latency_ms, 3)
+        .number("p95_latency_ms", stats.p95_latency_ms, 3)
+        .integer("deadline_overruns", stats.deadline_overruns)
+        .integer("load_failures", stats.load_failures)
+        .integer("abandoned_loads", stats.abandoned_loads)
+        .integer("quarantine_events", stats.quarantine_events)
+        .integer("degraded_frames", stats.degraded_frames)
+        .integer("injected_total", stats.injected_total)
+        .hash("trace_hash", stats.trace_hash)
+        .end_object();
   };
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"frames\": %zu,\n", total_frames);
-  std::fprintf(out, "  \"fault_spec\": \"%s\",\n", kFaultSpec);
-  std::fprintf(out, "  \"deadline_ms\": %.1f,\n", kDeadlineMs);
-  std::fprintf(out, "  \"replay_identical\": %s,\n",
-               replay_identical ? "true" : "false");
-  emit("clean", clean, ",");
-  emit("faulty", faulty, ",");
-  emit("replay", replay, "");
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_fault.json\n");
+  emit("clean", clean);
+  emit("faulty", faulty);
+  emit("replay", replay);
+  if (!bench::save_json("BENCH_fault.json", json)) return 1;
   return replay_identical ? 0 : 1;
 }

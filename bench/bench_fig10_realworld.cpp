@@ -76,16 +76,8 @@ int main() {
   device::DeviceSession session(tx2);
   for (const auto& frame : clips[0].frames) {
     const auto result = engine.process(frame);
-    device::FrameCost cost;
-    cost.decision_flops = methods.anole->decision_flops();
-    cost.detector_flops = methods.anole->detector_flops();
-    cost.loaded_weight_mb =
-        result.model_loaded
-            ? memory.load_mb(
-                  stack.system.repository.detector(result.served_model)
-                      .weight_bytes())
-            : 0.0;
-    session.process(cost);
+    session.process(device::frame_cost(stack.system, result, memory,
+                                       /*deadline_ms=*/0.0));
   }
   const auto& latencies = session.frame_latencies_ms();
   std::vector<double> steady(latencies.begin() + 1, latencies.end());

@@ -15,12 +15,7 @@ int main() {
   bench::print_banner("Figure 7", "fast-changing clips: scene duration & cache");
 
   auto stack = bench::train_standard_stack();
-  Rng rng(21);
-  std::vector<world::Clip> spliced;
-  for (int t = 0; t < 6; ++t) {
-    spliced.push_back(
-        world::synthesize_fast_changing_clip(stack.world, 5, 100, rng));
-  }
+  const auto spliced = bench::fast_changing_clips(stack.world, 6, 21);
 
   // --- (a) scene duration: frames between model switches, per clip ---
   std::printf("(a) scene duration (frames between model switches)\n");
@@ -104,13 +99,10 @@ int main() {
   // (DESIGN.md §11).
   std::printf("(c) byte budget + governor under a latency spike burst\n");
   constexpr const char* kBurstSpec = "seed=2024,load_latency_spike=0.05x8";
-  constexpr double kDeadlineMs = 33.3;
   const auto tx2 = device::DeviceProfile::jetson_tx2_nx(
       stack.system.repository.detector(0).flops_per_frame());
   const device::MemoryModel memory(
       stack.system.repository.detector(0).weight_bytes());
-  const std::uint64_t decision_flops =
-      stack.system.decision->flops_per_sample();
   std::uint64_t max_model_bytes = 0;
   for (std::size_t m = 0; m < n_models; ++m) {
     max_model_bytes = std::max(
@@ -139,17 +131,8 @@ int main() {
         const auto result = engine.process(frame);
         counts += detect::match_detections(result.detections, frame.objects);
         if (result.health.frame_dropped) continue;
-        const double weight_mb = memory.load_mb(
-            stack.system.repository.detector(result.served_model)
-                .weight_bytes());
-        device::FrameCost cost;
-        cost.decision_flops = result.ranking_reused ? 0 : decision_flops;
-        cost.detector_flops = stack.system.repository
-                                  .detector(result.served_model)
-                                  .flops_per_frame();
-        cost.loaded_weight_mb = result.model_loaded ? weight_mb : 0.0;
-        cost.deadline_ms = kDeadlineMs;
-        (void)session.process(cost);
+        (void)session.process(device::frame_cost(stack.system, result, memory,
+                                                 bench::kDeadlineMs));
       }
     }
     budget_table.add_row(

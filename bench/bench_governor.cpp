@@ -22,7 +22,6 @@ namespace {
 
 constexpr const char* kOverloadSpec =
     "seed=2033,load_latency_spike=0.01x8,memory_pressure=0.003x2";
-constexpr double kDeadlineMs = 33.3;  // 30 FPS budget
 
 struct RunStats {
   double f1 = 0.0;
@@ -65,12 +64,7 @@ int main() {
                       "I/O spikes and memory pressure");
 
   auto stack = bench::train_standard_stack();
-  Rng rng(33);
-  std::vector<world::Clip> spliced;
-  for (int t = 0; t < 4; ++t) {
-    spliced.push_back(
-        world::synthesize_fast_changing_clip(stack.world, 5, 100, rng));
-  }
+  const auto spliced = bench::fast_changing_clips(stack.world, 4, 33);
   std::size_t total_frames = 0;
   for (const auto& clip : spliced) total_frames += clip.frames.size();
   std::fprintf(stderr, "[bench_governor] streaming %zu spliced frames\n",
@@ -80,8 +74,6 @@ int main() {
       stack.system.repository.detector(0).flops_per_frame());
   const device::MemoryModel memory(
       stack.system.repository.detector(0).weight_bytes());
-  const std::uint64_t decision_flops =
-      stack.system.decision->flops_per_sample();
   // Byte budget: room for ~3 full compressed models (the slot capacity
   // stays at 5, so the byte budget binds first; a memory-pressure fault
   // halves it mid-run).
@@ -113,21 +105,8 @@ int main() {
         // which is exactly the F1 price of shedding.
         counts += detect::match_detections(result.detections, frame.objects);
         if (result.health.frame_dropped) continue;
-        const double weight_mb = memory.load_mb(
-            stack.system.repository.detector(result.served_model)
-                .weight_bytes());
-        device::FrameCost cost;
-        cost.decision_flops = result.ranking_reused ? 0 : decision_flops;
-        cost.detector_flops = stack.system.repository
-                                  .detector(result.served_model)
-                                  .flops_per_frame();
-        cost.loaded_weight_mb = result.model_loaded ? weight_mb : 0.0;
-        const std::size_t failed_attempts =
-            result.health.load_attempts - (result.model_loaded ? 1 : 0);
-        cost.retried_weight_mb =
-            static_cast<double>(failed_attempts) * weight_mb;
-        cost.deadline_ms = kDeadlineMs;
-        (void)session.process(cost);
+        (void)session.process(device::frame_cost(stack.system, result, memory,
+                                                 bench::kDeadlineMs));
       }
     }
     RunStats stats;
@@ -198,67 +177,42 @@ int main() {
   std::printf("governor trace + fault schedule replay identical: %s\n",
               replay_identical ? "yes" : "NO (determinism regression!)");
 
-  std::FILE* out = std::fopen("BENCH_governor.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr,
-                 "[bench_governor] cannot open BENCH_governor.json\n");
-    return 1;
-  }
-  const auto emit = [out](const char* name, const RunStats& stats,
-                          const char* suffix) {
-    std::fprintf(out, "  \"%s\": {\n", name);
-    std::fprintf(out, "    \"f1\": %.4f,\n", stats.f1);
-    std::fprintf(out, "    \"hit_rate\": %.4f,\n", stats.hit_rate);
-    std::fprintf(out, "    \"mean_latency_ms\": %.3f,\n",
-                 stats.mean_latency_ms);
-    std::fprintf(out, "    \"p95_latency_ms\": %.3f,\n",
-                 stats.p95_latency_ms);
-    std::fprintf(out, "    \"executed_frames\": %zu,\n",
-                 stats.executed_frames);
-    std::fprintf(out, "    \"dropped_frames\": %zu,\n",
-                 stats.dropped_frames);
-    std::fprintf(out, "    \"dropped_frame_rate\": %.4f,\n",
-                 stats.drop_rate());
-    std::fprintf(out, "    \"deadline_overruns\": %zu,\n",
-                 stats.deadline_overruns);
-    std::fprintf(out, "    \"overrun_rate\": %.4f,\n", stats.overrun_rate());
-    std::fprintf(out, "    \"swap_suppressed\": %zu,\n",
-                 stats.swap_suppressed);
-    std::fprintf(out, "    \"reused_rankings\": %zu,\n",
-                 stats.reused_rankings);
-    std::fprintf(out, "    \"transitions\": %zu,\n", stats.transitions);
-    std::fprintf(out, "    \"pressure_events\": %zu,\n",
-                 stats.pressure_events);
-    std::fprintf(out, "    \"budget_evictions\": %zu,\n",
-                 stats.budget_evictions);
-    std::fprintf(out, "    \"oversized_rejections\": %zu,\n",
-                 stats.oversized_rejections);
-    std::fprintf(out, "    \"latency_spikes\": %zu,\n", stats.latency_spikes);
-    std::fprintf(out, "    \"governor_trace_hash\": \"%016llx\",\n",
-                 static_cast<unsigned long long>(stats.governor_hash));
-    std::fprintf(out, "    \"fault_trace_hash\": \"%016llx\"\n",
-                 static_cast<unsigned long long>(stats.fault_hash));
-    std::fprintf(out, "  }%s\n", suffix);
+  JsonWriter json;
+  bench::write_provenance(json);
+  json.integer("frames", total_frames)
+      .string("overload_spec", kOverloadSpec)
+      .number("deadline_ms", bench::kDeadlineMs, 1)
+      .integer("memory_budget_bytes", 3 * max_model_bytes)
+      .boolean("replay_identical", replay_identical)
+      .number("overrun_reduction", reduction, 2)
+      .boolean("overruns_reduced_3x", overruns_reduced)
+      .boolean("drops_within_5pct", drops_bounded)
+      .number("f1_delta", on.f1 - off.f1, 4);
+  const auto emit = [&json](const char* name, const RunStats& stats) {
+    json.begin_object(name)
+        .number("f1", stats.f1, 4)
+        .number("hit_rate", stats.hit_rate, 4)
+        .number("mean_latency_ms", stats.mean_latency_ms, 3)
+        .number("p95_latency_ms", stats.p95_latency_ms, 3)
+        .integer("executed_frames", stats.executed_frames)
+        .integer("dropped_frames", stats.dropped_frames)
+        .number("dropped_frame_rate", stats.drop_rate(), 4)
+        .integer("deadline_overruns", stats.deadline_overruns)
+        .number("overrun_rate", stats.overrun_rate(), 4)
+        .integer("swap_suppressed", stats.swap_suppressed)
+        .integer("reused_rankings", stats.reused_rankings)
+        .integer("transitions", stats.transitions)
+        .integer("pressure_events", stats.pressure_events)
+        .integer("budget_evictions", stats.budget_evictions)
+        .integer("oversized_rejections", stats.oversized_rejections)
+        .integer("latency_spikes", stats.latency_spikes)
+        .hash("governor_trace_hash", stats.governor_hash)
+        .hash("fault_trace_hash", stats.fault_hash)
+        .end_object();
   };
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"frames\": %zu,\n", total_frames);
-  std::fprintf(out, "  \"overload_spec\": \"%s\",\n", kOverloadSpec);
-  std::fprintf(out, "  \"deadline_ms\": %.1f,\n", kDeadlineMs);
-  std::fprintf(out, "  \"memory_budget_bytes\": %llu,\n",
-               static_cast<unsigned long long>(3 * max_model_bytes));
-  std::fprintf(out, "  \"replay_identical\": %s,\n",
-               replay_identical ? "true" : "false");
-  std::fprintf(out, "  \"overrun_reduction\": %.2f,\n", reduction);
-  std::fprintf(out, "  \"overruns_reduced_3x\": %s,\n",
-               overruns_reduced ? "true" : "false");
-  std::fprintf(out, "  \"drops_within_5pct\": %s,\n",
-               drops_bounded ? "true" : "false");
-  std::fprintf(out, "  \"f1_delta\": %.4f,\n", on.f1 - off.f1);
-  emit("governor_off", off, ",");
-  emit("governor_on", on, ",");
-  emit("replay", replay, "");
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_governor.json\n");
+  emit("governor_off", off);
+  emit("governor_on", on);
+  emit("replay", replay);
+  if (!bench::save_json("BENCH_governor.json", json)) return 1;
   return (replay_identical && overruns_reduced && drops_bounded) ? 0 : 1;
 }

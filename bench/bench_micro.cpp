@@ -1,23 +1,21 @@
 // Micro-benchmarks of the hot paths.
 //
-// Default mode runs a deterministic timing suite over the parallel +
-// SIMD execution layers — matmul GFLOP/s, int8 qgemm vs fp32 matmul at
-// a detector layer shape (with the int8 call split into its quantize and
-// dot stages), per-frame featurization, k-means wall time, OSP
-// end-to-end wall time, one detector training step split into its
-// phases, and engine batch throughput. Everything is timed
+// Default mode runs a deterministic timing suite over the SIMD and
+// kernel layers — matmul GFLOP/s, int8 qgemm vs fp32 matmul at a
+// detector layer shape (with the int8 call split into its quantize and
+// dot stages), per-frame featurization, k-means wall time, and one
+// detector training step split into its phases. Kernels are timed
 // against a pinned scalar 1-thread reference (the headline "speedup" is
-// active dispatch level at 4 pool threads vs that reference). Kernels run on their
-// calling thread, so only OSP and the engine batch, the task fan-outs,
-// report 1/2/4 pool-thread "thread_scaling" sections. The suite verifies
-// bitwise thread-count invariance everywhere, plus bitwise *level*
-// invariance for the int8 and k-means paths, then times the
-// post-training quantize/dequantize pass and fp32 vs int8-quantized
-// artifact loads on the OSP system, and writes the numbers with their
-// provenance (the configure-time commit, every ANOLE_* variable set, and
-// the detected and active SIMD levels) to BENCH_micro.json in the
-// working directory. Exit is non-zero on a determinism failure or — when
-// a vector level is active — on a speedup below the committed floors.
+// the active dispatch level at 4 pool threads vs that reference). The
+// suite verifies bitwise thread-count invariance at 1/2/4 threads, plus
+// bitwise *level* invariance for the int8 and k-means paths, then times
+// the post-training quantize/dequantize pass and fp32 vs int8-quantized
+// artifact loads on a system trained by one untimed OSP run, and writes
+// the numbers after their provenance (bench::write_provenance) to
+// BENCH_micro.json in the working directory. Exit is non-zero on a
+// determinism failure or — when a vector level is active — on a speedup
+// below the committed floors. OSP and engine-batch wall time are
+// perfbench's (`osp_standard` and the traced `stream_clean` run).
 //
 // `bench_micro --gbench [google-benchmark flags]` instead runs the
 // google-benchmark suite (tensor matmul, detector forward, featurization,
@@ -31,15 +29,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
-
-#include <unistd.h>  // environ
 
 #include "bench/common.hpp"
 #include "cluster/kmeans.hpp"
@@ -53,7 +46,6 @@
 #include "sampling/thompson.hpp"
 #include "tensor/qgemm.hpp"
 #include "tensor/simd.hpp"
-#include "util/hash.hpp"
 #include "util/parallel.hpp"
 #include "world/featurizer.hpp"
 #include "world/world.hpp"
@@ -176,49 +168,6 @@ BENCHMARK(BM_CacheAdmit);
 /// Thread count the parallel numbers are reported at.
 constexpr std::size_t kBenchThreads = 4;
 
-/// Every ANOLE_* variable set in this process's environment, sorted by
-/// name: the knobs that could have shaped the numbers.
-std::vector<std::pair<std::string, std::string>> anole_environment() {
-  std::vector<std::pair<std::string, std::string>> vars;
-  for (char** entry = environ; *entry != nullptr; ++entry) {
-    const std::string_view var(*entry);
-    if (!var.starts_with("ANOLE_")) continue;
-    const std::size_t eq = var.find('=');
-    vars.emplace_back(std::string(var.substr(0, eq)),
-                      eq == std::string_view::npos
-                          ? std::string()
-                          : std::string(var.substr(eq + 1)));
-  }
-  std::sort(vars.begin(), vars.end());
-  return vars;
-}
-
-/// `text` as a quoted JSON string.
-std::string json_string(std::string_view text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char escaped[8];
-      std::snprintf(escaped, sizeof(escaped), "\\u%04x",
-                    static_cast<unsigned>(c));
-      out += escaped;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// Wall seconds for one 512x512 matmul (best of `reps`) plus a checksum
 /// of the product for cross-thread-count comparison.
 struct MatmulSample {
@@ -239,7 +188,7 @@ MatmulSample time_matmul(std::size_t n, int reps) {
   for (int r = 0; r < reps; ++r) {
     const auto start = std::chrono::steady_clock::now();
     c = matmul(a, b);
-    sample.seconds = std::min(sample.seconds, seconds_since(start));
+    sample.seconds = std::min(sample.seconds, bench::seconds_since(start));
   }
   const double flop = 2.0 * static_cast<double>(n) * n * n;
   sample.gflops = flop / sample.seconds / 1e9;
@@ -255,7 +204,7 @@ double best_us_per_call(int reps, int iters, Fn&& fn) {
   for (int r = 0; r < reps; ++r) {
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) fn();
-    best = std::min(best, seconds_since(start));
+    best = std::min(best, bench::seconds_since(start));
   }
   return best / iters * 1e6;
 }
@@ -342,7 +291,7 @@ double time_artifact_load(const std::string& blob, int reps) {
     std::istringstream in(blob, std::ios::binary);
     const auto start = std::chrono::steady_clock::now();
     core::AnoleSystem loaded = core::load_system(in);
-    best = std::min(best, seconds_since(start));
+    best = std::min(best, bench::seconds_since(start));
     benchmark::DoNotOptimize(loaded.model_count());
   }
   return best;
@@ -358,7 +307,7 @@ QuantArtifactSample time_quant_artifact(core::AnoleSystem& system) {
 
   auto start = std::chrono::steady_clock::now();
   const core::QuantizeReport report = core::quantize_system(system);
-  sample.quantize_seconds = seconds_since(start);
+  sample.quantize_seconds = bench::seconds_since(start);
   sample.quantized_detectors = report.quantized_detectors;
   sample.rejected_detectors = report.rejected_detectors;
 
@@ -370,7 +319,7 @@ QuantArtifactSample time_quant_artifact(core::AnoleSystem& system) {
 
   start = std::chrono::steady_clock::now();
   (void)core::dequantize_system(system);
-  sample.dequantize_seconds = seconds_since(start);
+  sample.dequantize_seconds = bench::seconds_since(start);
   return sample;
 }
 
@@ -391,19 +340,13 @@ KMeansSample time_kmeans(int reps) {
     Rng inner(23);
     const auto start = std::chrono::steady_clock::now();
     const auto result = cluster::kmeans(points, config, inner);
-    sample.seconds = std::min(sample.seconds, seconds_since(start));
+    sample.seconds = std::min(sample.seconds, bench::seconds_since(start));
     sample.inertia = result.inertia;
   }
   return sample;
 }
 
-struct OspSample {
-  double seconds = 0.0;
-  std::size_t models = 0;
-  double mean_f1 = 0.0;
-};
-
-/// The trained OSP output, kept alive for the artifact timing section.
+/// The trained OSP output the artifact and training-step sections use.
 /// The world must outlive the system: the repository's validation pools
 /// hold frame pointers into it (moving the world relocates only the
 /// top-level containers, so the pointers stay valid).
@@ -412,36 +355,22 @@ struct OspArtifacts {
   core::AnoleSystem system;
 };
 
-/// End-to-end offline scene profiling on a reduced world (the standard
-/// profiler on the full bench world takes minutes per run; this keeps the
-/// 1-vs-N comparison to tens of seconds while exercising every stage).
-/// When `keep` is non-null the trained world+system move out for the
-/// artifact timing section.
-OspSample time_osp(std::optional<OspArtifacts>* keep = nullptr) {
+/// Offline scene profiling on a reduced world (the standard profiler on
+/// the full bench world takes minutes per run). Untimed: perfbench's
+/// `osp_standard` workload measures OSP end to end, with repeats.
+OspArtifacts train_osp() {
   world::WorldConfig world_config = bench::standard_world_config();
   world_config.frames_per_clip = 60;
   world_config.clip_scale = 0.2;
-  world::World world = world::make_benchmark_world(world_config);
+  OspArtifacts out{world::make_benchmark_world(world_config), {}};
 
   core::ProfilerConfig profiler_config = bench::standard_profiler_config();
   profiler_config.repository.target_models = 8;
   profiler_config.sampling.budget = 400;
 
   Rng rng(7);
-  core::OfflineProfiler profiler(profiler_config);
-  const auto start = std::chrono::steady_clock::now();
-  core::AnoleSystem system = profiler.run(world, rng);
-  OspSample sample;
-  sample.seconds = seconds_since(start);
-  sample.models = system.repository.size();
-  for (std::size_t m = 0; m < system.repository.size(); ++m) {
-    sample.mean_f1 += system.repository.model(m).validation_f1;
-  }
-  if (sample.models > 0) sample.mean_f1 /= static_cast<double>(sample.models);
-  if (keep != nullptr) {
-    keep->emplace(OspArtifacts{std::move(world), std::move(system)});
-  }
-  return sample;
+  out.system = core::OfflineProfiler(profiler_config).run(out.world, rng);
+  return out;
 }
 
 /// Host microseconds per detector training step, split by phase, for one
@@ -555,52 +484,6 @@ TrainStepSample time_detector_train_step(const world::World& world,
   return sample;
 }
 
-/// Batch inference throughput over the trained system's test frames.
-struct EngineBatchSample {
-  double seconds = 0.0;
-  double fps = 0.0;
-  std::size_t frames = 0;
-  /// FNV-1a over served models, confidences, and detections for
-  /// cross-thread-count bitwise comparison.
-  std::uint64_t digest = 0;
-};
-
-std::uint64_t double_bits(double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-EngineBatchSample time_engine_batch(OspArtifacts& artifacts, int reps) {
-  const std::vector<const world::Frame*> frames =
-      artifacts.world.frames_with_role(world::SplitRole::kTest);
-  EngineBatchSample sample;
-  sample.frames = frames.size();
-  sample.seconds = 1e30;
-  for (int r = 0; r < reps; ++r) {
-    // A fresh engine per rep: cache state starts identical,
-    // so every rep (and every thread count) replays the same plan.
-    core::AnoleEngine engine(artifacts.system,
-                             core::CacheConfig{.capacity = 5});
-    const auto start = std::chrono::steady_clock::now();
-    const std::vector<core::EngineResult> results =
-        engine.process_batch(frames);
-    sample.seconds = std::min(sample.seconds, seconds_since(start));
-    Fnv1a hash;
-    for (const core::EngineResult& result : results) {
-      hash.mix(result.served_model);
-      hash.mix(double_bits(result.top1_confidence));
-      hash.mix(result.detections.size());
-      for (const detect::Detection& d : result.detections) {
-        hash.mix(double_bits(d.confidence));
-      }
-    }
-    sample.digest = hash.value();
-  }
-  sample.fps = static_cast<double>(sample.frames) / sample.seconds;
-  return sample;
-}
-
 /// One matmul+qgemm+kmeans measurement at the current dispatch level and
 /// pool thread count.
 struct KernelSet {
@@ -629,17 +512,17 @@ bool bitwise_equal_double(double a, double b) {
 
 int run_json_suite() {
   set_log_level(LogLevel::kWarn);
-  const std::size_t default_threads = par::thread_count();
-  const simd::Level detected = simd::detected_level();
+  // Provenance first, while the pool and dispatch level are the
+  // process defaults the suite then overrides section by section.
+  JsonWriter json;
+  bench::write_provenance(json);
   const simd::Level active = simd::active_level();
   std::fprintf(stderr,
-               "[bench_micro] deterministic suite at commit %s: default pool "
-               "threads=%zu, "
-               "SIMD detected=%s active=%s, scalar 1T reference vs active at "
+               "[bench_micro] deterministic suite at commit %s: SIMD "
+               "detected=%s active=%s, scalar 1T reference vs active at "
                "1/2/%zu pool threads\n",
-               ANOLE_BENCH_COMMIT, default_threads,
-               simd::level_name(detected), simd::level_name(active),
-               kBenchThreads);
+               ANOLE_BENCH_COMMIT, simd::level_name(simd::detected_level()),
+               simd::level_name(active), kBenchThreads);
 
   /// Detector L1 shape at a full-batch row count: the layer the int8 fast
   /// path serves most often.
@@ -649,56 +532,29 @@ int run_json_suite() {
   simd::set_level(simd::Level::kScalar);
   par::set_thread_count(1);
   const KernelSet scalar_1t = run_kernels(kQgemmM, kQgemmK, kQgemmN);
-  std::fprintf(stderr, "[bench_micro] OSP end-to-end, scalar 1T reference"
-               " (the slowest run of the suite)...\n");
-  const OspSample osp_s1 = time_osp();
   simd::reset_level();
 
   // The active dispatch level at 1/2/4 pool threads.
   par::set_thread_count(1);
   const KernelSet active_1t = run_kernels(kQgemmM, kQgemmK, kQgemmN);
   const double featurize_us = time_featurize(5, 2000);
-  std::fprintf(stderr, "[bench_micro] OSP end-to-end at 1 thread...\n");
-  const OspSample osp_a1 = time_osp();
   par::set_thread_count(2);
   const KernelSet active_2t = run_kernels(kQgemmM, kQgemmK, kQgemmN);
-  std::fprintf(stderr, "[bench_micro] OSP end-to-end at 2 threads...\n");
-  const OspSample osp_a2 = time_osp();
   par::set_thread_count(kBenchThreads);
   const KernelSet active_4t = run_kernels(kQgemmM, kQgemmK, kQgemmN);
-  std::fprintf(stderr, "[bench_micro] OSP end-to-end at %zu threads...\n",
-               kBenchThreads);
-  std::optional<OspArtifacts> osp_out;
-  const OspSample osp_a4 = time_osp(&osp_out);
+  std::fprintf(stderr, "[bench_micro] OSP on a reduced world at %zu "
+               "threads (untimed)...\n", kBenchThreads);
+  OspArtifacts osp = train_osp();
 
   std::fprintf(stderr,
                "[bench_micro] quantize pass + fp32/int8 artifact loads...\n");
-  const QuantArtifactSample quant = time_quant_artifact(osp_out->system);
-  // time_quant_artifact leaves the system dequantized; re-quantize it
-  // (untimed) so the engine bench serves the production int8 fast path
-  // (ANOLE_QUANT defaults on). The int8 kernels are bitwise identical at
-  // every dispatch level, so the digests below stay comparable.
-  (void)core::quantize_system(osp_out->system);
+  const QuantArtifactSample quant = time_quant_artifact(osp.system);
 
   // One Algorithm 1 candidate's training steps at the active level, on
   // the calling thread (as each candidate trains on one pool worker).
   std::fprintf(stderr, "[bench_micro] detector training step phases...\n");
   const TrainStepSample train_step =
-      time_detector_train_step(osp_out->world, 216, 5);
-
-  // Engine batch throughput over the same trained system at every thread
-  // count (active level), plus the pinned scalar 1T reference.
-  std::fprintf(stderr, "[bench_micro] engine batch throughput...\n");
-  par::set_thread_count(1);
-  const EngineBatchSample eng_a1 = time_engine_batch(*osp_out, 3);
-  par::set_thread_count(2);
-  const EngineBatchSample eng_a2 = time_engine_batch(*osp_out, 3);
-  par::set_thread_count(kBenchThreads);
-  const EngineBatchSample eng_a4 = time_engine_batch(*osp_out, 3);
-  simd::set_level(simd::Level::kScalar);
-  par::set_thread_count(1);
-  const EngineBatchSample eng_s1 = time_engine_batch(*osp_out, 3);
-  simd::reset_level();
+      time_detector_train_step(osp.world, 216, 5);
   par::set_thread_count(0);
 
   // Bitwise thread-count invariance at the active level (1 vs 2 vs 4).
@@ -717,12 +573,6 @@ int run_json_suite() {
                            active_2t.kmeans.inertia) &&
       bitwise_equal_double(active_1t.kmeans.inertia,
                            active_4t.kmeans.inertia);
-  const bool osp_identical =
-      osp_a1.models == osp_a2.models && osp_a1.models == osp_a4.models &&
-      bitwise_equal_double(osp_a1.mean_f1, osp_a2.mean_f1) &&
-      bitwise_equal_double(osp_a1.mean_f1, osp_a4.mean_f1);
-  const bool engine_identical =
-      eng_a1.digest == eng_a2.digest && eng_a1.digest == eng_a4.digest;
   // Bitwise *level* invariance where the kernels promise it: the int8
   // path and the k-means distance kernel (fp32 GEMM at AVX2 uses FMA and
   // is exempt by contract — DESIGN.md §13).
@@ -739,155 +589,84 @@ int run_json_suite() {
       scalar_1t.qgemm.int8_us / active_4t.qgemm.int8_us;
   const double kmeans_speedup =
       scalar_1t.kmeans.seconds / active_4t.kmeans.seconds;
-  const double osp_speedup = osp_s1.seconds / osp_a4.seconds;
-  const double engine_speedup = eng_s1.seconds / eng_a4.seconds;
 
-  std::FILE* out = std::fopen("BENCH_micro.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "[bench_micro] cannot open BENCH_micro.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"commit\": %s,\n",
-               json_string(ANOLE_BENCH_COMMIT).c_str());
-  const auto env = anole_environment();
-  std::fprintf(out, "  \"anole_env\": {%s", env.empty() ? "" : "\n");
-  for (std::size_t i = 0; i < env.size(); ++i) {
-    std::fprintf(out, "    %s: %s%s\n", json_string(env[i].first).c_str(),
-                 json_string(env[i].second).c_str(),
-                 i + 1 < env.size() ? "," : "");
-  }
-  std::fprintf(out, "%s},\n", env.empty() ? "" : "  ");
-  std::fprintf(out, "  \"default_pool_threads\": %zu,\n", default_threads);
-  std::fprintf(out, "  \"pool_threads\": %zu,\n", kBenchThreads);
-  std::fprintf(out, "  \"simd\": {\n");
-  std::fprintf(out, "    \"detected\": \"%s\",\n", simd::level_name(detected));
-  std::fprintf(out, "    \"active\": \"%s\"\n", simd::level_name(active));
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"matmul_512\": {\n");
-  std::fprintf(out, "    \"gflops_scalar_1t\": %.4f,\n",
-               scalar_1t.matmul.gflops);
-  std::fprintf(out, "    \"speedup\": %.4f,\n", matmul_speedup);
-  std::fprintf(out, "    \"identical_results\": %s\n",
-               matmul_identical ? "true" : "false");
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"qgemm_144x42x16\": {\n");
-  std::fprintf(out, "    \"fp32_us_1t\": %.4f,\n", active_1t.qgemm.fp32_us);
-  std::fprintf(out, "    \"int8_us_scalar_1t\": %.4f,\n",
-               scalar_1t.qgemm.int8_us);
-  std::fprintf(out, "    \"int8_speedup_vs_fp32\": %.4f,\n",
-               active_1t.qgemm.fp32_us / active_1t.qgemm.int8_us);
-  std::fprintf(out, "    \"quantize_us_1t\": %.4f,\n",
-               active_1t.qgemm.quantize_us);
-  std::fprintf(out, "    \"dot_us_1t\": %.4f,\n", active_1t.qgemm.dot_us);
-  std::fprintf(out, "    \"speedup\": %.4f,\n", qgemm_speedup);
-  std::fprintf(out, "    \"identical_results\": %s,\n",
-               qgemm_identical ? "true" : "false");
-  std::fprintf(out, "    \"identical_across_levels\": %s\n",
-               qgemm_level_identical ? "true" : "false");
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"featurize\": {\n");
-  std::fprintf(out, "    \"featurize_us_per_frame\": %.4f\n", featurize_us);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"quantize_pass\": {\n");
-  std::fprintf(out, "    \"quantize_seconds\": %.6f,\n",
-               quant.quantize_seconds);
-  std::fprintf(out, "    \"dequantize_seconds\": %.6f,\n",
-               quant.dequantize_seconds);
-  std::fprintf(out, "    \"quantized_detectors\": %zu,\n",
-               quant.quantized_detectors);
-  std::fprintf(out, "    \"rejected_detectors\": %zu\n",
-               quant.rejected_detectors);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"artifact_load\": {\n");
-  std::fprintf(out, "    \"fp32_bytes\": %zu,\n", quant.fp32_bytes);
-  std::fprintf(out, "    \"v3_quantized_bytes\": %zu,\n",
-               quant.quantized_bytes);
-  std::fprintf(out, "    \"bytes_ratio\": %.4f,\n",
-               static_cast<double>(quant.fp32_bytes) /
-                   static_cast<double>(quant.quantized_bytes));
-  std::fprintf(out, "    \"fp32_load_seconds\": %.6f,\n",
-               quant.fp32_load_seconds);
-  std::fprintf(out, "    \"v3_load_seconds\": %.6f\n",
-               quant.quantized_load_seconds);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"detector_train_step\": {\n");
-  std::fprintf(out, "    \"widths\": \"42x16x5\",\n");
-  std::fprintf(out, "    \"frames\": %zu,\n", train_step.frames);
-  std::fprintf(out, "    \"cells_per_batch\": %zu,\n",
-               train_step.cells_per_batch);
-  std::fprintf(out, "    \"steps\": %zu,\n", train_step.steps);
-  std::fprintf(out, "    \"reps\": %zu,\n", train_step.reps);
-  std::fprintf(out, "    \"assemble_us\": %.2f,\n", train_step.assemble_us);
-  std::fprintf(out, "    \"forward_us\": %.2f,\n", train_step.forward_us);
-  std::fprintf(out, "    \"loss_us\": %.2f,\n", train_step.loss_us);
-  std::fprintf(out, "    \"backward_us\": %.2f,\n", train_step.backward_us);
-  std::fprintf(out, "    \"adam_us\": %.2f,\n", train_step.adam_us);
-  std::fprintf(out, "    \"step_us\": %.2f,\n", train_step.step_us);
-  std::fprintf(out, "    \"step_us_min\": %.2f,\n", train_step.step_us_min);
-  std::fprintf(out, "    \"step_us_max\": %.2f\n", train_step.step_us_max);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"kmeans_2000x48_k16\": {\n");
-  std::fprintf(out, "    \"seconds_scalar_1t\": %.6f,\n",
-               scalar_1t.kmeans.seconds);
-  std::fprintf(out, "    \"speedup\": %.4f,\n", kmeans_speedup);
-  std::fprintf(out, "    \"identical_results\": %s,\n",
-               kmeans_identical ? "true" : "false");
-  std::fprintf(out, "    \"identical_across_levels\": %s\n",
-               kmeans_level_identical ? "true" : "false");
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"osp_end_to_end\": {\n");
-  std::fprintf(out, "    \"seconds_scalar_1t\": %.3f,\n", osp_s1.seconds);
-  std::fprintf(out, "    \"speedup\": %.4f,\n", osp_speedup);
-  std::fprintf(out, "    \"models_trained\": %zu,\n", osp_a4.models);
-  std::fprintf(out, "    \"identical_results\": %s,\n",
-               osp_identical ? "true" : "false");
-  std::fprintf(out, "    \"thread_scaling\": {\n");
-  std::fprintf(out, "      \"seconds_1t\": %.3f,\n", osp_a1.seconds);
-  std::fprintf(out, "      \"seconds_2t\": %.3f,\n", osp_a2.seconds);
-  std::fprintf(out, "      \"seconds_4t\": %.3f\n", osp_a4.seconds);
-  std::fprintf(out, "    }\n");
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"engine_batch\": {\n");
-  std::fprintf(out, "    \"frames\": %zu,\n", eng_a4.frames);
-  std::fprintf(out, "    \"seconds_scalar_1t\": %.4f,\n", eng_s1.seconds);
-  std::fprintf(out, "    \"fps_4t\": %.2f,\n", eng_a4.fps);
-  std::fprintf(out, "    \"speedup\": %.4f,\n", engine_speedup);
-  std::fprintf(out, "    \"identical_results\": %s,\n",
-               engine_identical ? "true" : "false");
-  std::fprintf(out, "    \"thread_scaling\": {\n");
-  std::fprintf(out, "      \"seconds_1t\": %.4f,\n", eng_a1.seconds);
-  std::fprintf(out, "      \"seconds_2t\": %.4f,\n", eng_a2.seconds);
-  std::fprintf(out, "      \"seconds_4t\": %.4f\n", eng_a4.seconds);
-  std::fprintf(out, "    }\n");
-  std::fprintf(out, "  }\n");
-  std::fprintf(out, "}\n");
-  std::fclose(out);
+  json.begin_object("matmul_512")
+      .number("gflops_scalar_1t", scalar_1t.matmul.gflops, 4)
+      .number("speedup", matmul_speedup, 4)
+      .boolean("identical_results", matmul_identical)
+      .end_object();
+  json.begin_object("qgemm_144x42x16")
+      .number("fp32_us_1t", active_1t.qgemm.fp32_us, 4)
+      .number("int8_us_scalar_1t", scalar_1t.qgemm.int8_us, 4)
+      .number("int8_speedup_vs_fp32",
+              active_1t.qgemm.fp32_us / active_1t.qgemm.int8_us, 4)
+      .number("quantize_us_1t", active_1t.qgemm.quantize_us, 4)
+      .number("dot_us_1t", active_1t.qgemm.dot_us, 4)
+      .number("speedup", qgemm_speedup, 4)
+      .boolean("identical_results", qgemm_identical)
+      .boolean("identical_across_levels", qgemm_level_identical)
+      .end_object();
+  json.begin_object("featurize")
+      .number("featurize_us_per_frame", featurize_us, 4)
+      .end_object();
+  json.begin_object("quantize_pass")
+      .number("quantize_seconds", quant.quantize_seconds, 6)
+      .number("dequantize_seconds", quant.dequantize_seconds, 6)
+      .integer("quantized_detectors", quant.quantized_detectors)
+      .integer("rejected_detectors", quant.rejected_detectors)
+      .end_object();
+  json.begin_object("artifact_load")
+      .integer("fp32_bytes", quant.fp32_bytes)
+      .integer("v3_quantized_bytes", quant.quantized_bytes)
+      .number("bytes_ratio",
+              static_cast<double>(quant.fp32_bytes) /
+                  static_cast<double>(quant.quantized_bytes),
+              4)
+      .number("fp32_load_seconds", quant.fp32_load_seconds, 6)
+      .number("v3_load_seconds", quant.quantized_load_seconds, 6)
+      .end_object();
+  json.begin_object("detector_train_step")
+      .string("widths", "42x16x5")
+      .integer("frames", train_step.frames)
+      .integer("cells_per_batch", train_step.cells_per_batch)
+      .integer("steps", train_step.steps)
+      .integer("reps", train_step.reps)
+      .number("assemble_us", train_step.assemble_us, 2)
+      .number("forward_us", train_step.forward_us, 2)
+      .number("loss_us", train_step.loss_us, 2)
+      .number("backward_us", train_step.backward_us, 2)
+      .number("adam_us", train_step.adam_us, 2)
+      .number("step_us", train_step.step_us, 2)
+      .number("step_us_min", train_step.step_us_min, 2)
+      .number("step_us_max", train_step.step_us_max, 2)
+      .end_object();
+  json.begin_object("kmeans_2000x48_k16")
+      .number("seconds_scalar_1t", scalar_1t.kmeans.seconds, 6)
+      .number("speedup", kmeans_speedup, 4)
+      .boolean("identical_results", kmeans_identical)
+      .boolean("identical_across_levels", kmeans_level_identical)
+      .end_object();
+  if (!bench::save_json("BENCH_micro.json", json)) return 1;
 
   const bool all_identical = matmul_identical && qgemm_identical &&
-                             kmeans_identical && osp_identical &&
-                             engine_identical && qgemm_level_identical &&
+                             kmeans_identical && qgemm_level_identical &&
                              kmeans_level_identical;
   // Speedup floors only bind when a vector level is active: on a
   // scalar-only host every ratio is ~1 by construction.
   const bool speedups_ok =
       active == simd::Level::kScalar ||
-      (matmul_speedup >= 2.5 && osp_speedup >= 3.0 &&
-       engine_speedup >= 3.0 && kmeans_speedup > 1.0);
+      (matmul_speedup >= 2.5 && kmeans_speedup > 1.0);
 
   std::fprintf(stderr,
                "[bench_micro] simd %s: matmul %.2f -> %.2f GFLOP/s "
                "(%.2fx), qgemm int8 %.1fus -> %.1fus (%.2fx), kmeans "
-               "%.3fs -> %.3fs (%.2fx), OSP %.1fs -> %.1fs (%.2fx), "
-               "engine batch %.2fs -> %.2fs (%.2fx, %.0f fps), artifact "
-               "fp32 %zuB/%.3fs vs int8 %zuB/%.3fs\n",
+               "%.3fs -> %.3fs (%.2fx), artifact fp32 %zuB/%.3fs vs int8 "
+               "%zuB/%.3fs\n",
                simd::level_name(active), scalar_1t.matmul.gflops,
                active_4t.matmul.gflops, matmul_speedup,
                scalar_1t.qgemm.int8_us, active_4t.qgemm.int8_us,
                qgemm_speedup, scalar_1t.kmeans.seconds,
-               active_4t.kmeans.seconds, kmeans_speedup, osp_s1.seconds,
-               osp_a4.seconds, osp_speedup, eng_s1.seconds, eng_a4.seconds,
-               engine_speedup, eng_a4.fps, quant.fp32_bytes,
+               active_4t.kmeans.seconds, kmeans_speedup, quant.fp32_bytes,
                quant.fp32_load_seconds, quant.quantized_bytes,
                quant.quantized_load_seconds);
   std::fprintf(stderr,
@@ -899,9 +678,7 @@ int run_json_suite() {
                train_step.forward_us, train_step.loss_us,
                train_step.backward_us, train_step.adam_us,
                train_step.step_us_min, train_step.step_us_max);
-  std::fprintf(stderr,
-               "[bench_micro] determinism %s, speedup floors %s; wrote "
-               "BENCH_micro.json\n",
+  std::fprintf(stderr, "[bench_micro] determinism %s, speedup floors %s\n",
                all_identical ? "OK" : "FAILED",
                speedups_ok ? "OK" : "FAILED");
   return (all_identical && speedups_ok) ? 0 : 1;

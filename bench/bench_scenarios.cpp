@@ -25,7 +25,6 @@
 
 namespace {
 
-constexpr double kDeadlineMs = 33.3;  // 30 FPS budget
 constexpr std::size_t kStreamLength = 900;
 
 struct PackSpec {
@@ -78,8 +77,6 @@ int main() {
       stack.system.repository.detector(0).flops_per_frame());
   const device::MemoryModel memory(
       stack.system.repository.detector(0).weight_bytes());
-  const std::uint64_t decision_flops =
-      stack.system.decision->flops_per_sample();
 
   enum class Posture { kPlain, kGovernor, kResponder };
   const auto run = [&](const world::ScenarioStream& stream, Posture posture) {
@@ -103,21 +100,8 @@ int main() {
       timeline.mix(result.served_model);
       timeline.mix(result.health.frame_dropped ? 1 : 0);
       if (result.health.frame_dropped) continue;
-      const double weight_mb = memory.load_mb(
-          stack.system.repository.detector(result.served_model)
-              .weight_bytes());
-      device::FrameCost cost;
-      cost.decision_flops = result.ranking_reused ? 0 : decision_flops;
-      cost.detector_flops = stack.system.repository
-                                .detector(result.served_model)
-                                .flops_per_frame();
-      cost.loaded_weight_mb = result.model_loaded ? weight_mb : 0.0;
-      const std::size_t failed_attempts =
-          result.health.load_attempts - (result.model_loaded ? 1 : 0);
-      cost.retried_weight_mb =
-          static_cast<double>(failed_attempts) * weight_mb;
-      cost.deadline_ms = kDeadlineMs;
-      (void)session.process(cost);
+      (void)session.process(device::frame_cost(stack.system, result, memory,
+                                               bench::kDeadlineMs));
     }
     stats.timeline_hash = timeline.value();
     stats.f1 = counts.f1();
@@ -222,56 +206,34 @@ int main() {
       "scenario trace hashes and frames rerun/thread invariant: %s\n",
       scenario_replay_identical ? "yes" : "NO (determinism bug!)");
 
-  std::FILE* out = std::fopen("BENCH_scenarios.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr,
-                 "[bench_scenarios] cannot open BENCH_scenarios.json\n");
-    return 1;
-  }
-  const auto emit = [out](const char* name, const RunStats& stats,
-                          const char* suffix) {
-    std::fprintf(out, "      \"%s\": {\n", name);
-    std::fprintf(out, "        \"f1\": %.4f,\n", stats.f1);
-    std::fprintf(out, "        \"mean_latency_ms\": %.3f,\n",
-                 stats.mean_latency_ms);
-    std::fprintf(out, "        \"p95_latency_ms\": %.3f,\n",
-                 stats.p95_latency_ms);
-    std::fprintf(out, "        \"deadline_overruns\": %zu,\n",
-                 stats.deadline_overruns);
-    std::fprintf(out, "        \"dropped_frames\": %zu,\n",
-                 stats.dropped_frames);
-    std::fprintf(out, "        \"model_switches\": %zu,\n",
-                 stats.model_switches);
-    std::fprintf(out, "        \"drift_detections\": %zu,\n",
-                 stats.drift_detections);
-    std::fprintf(out, "        \"drift_responses\": %zu,\n",
-                 stats.drift_responses);
-    std::fprintf(out, "        \"timeline_hash\": \"%016llx\"\n",
-                 static_cast<unsigned long long>(stats.timeline_hash));
-    std::fprintf(out, "      }%s\n", suffix);
-  };
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"frames_per_pack\": %zu,\n", kStreamLength);
-  std::fprintf(out, "  \"deadline_ms\": %.1f,\n", kDeadlineMs);
-  std::fprintf(out, "  \"scenario_replay_identical\": %s,\n",
-               scenario_replay_identical ? "true" : "false");
-  std::fprintf(out, "  \"drift_detach_exact\": %s,\n",
-               detach_exact ? "true" : "false");
-  std::fprintf(out, "  \"packs\": {\n");
+  JsonWriter json;
+  bench::write_provenance(json);
+  json.integer("frames_per_pack", kStreamLength)
+      .number("deadline_ms", bench::kDeadlineMs, 1)
+      .boolean("scenario_replay_identical", scenario_replay_identical)
+      .boolean("drift_detach_exact", detach_exact)
+      .begin_object("packs");
   for (std::size_t p = 0; p < streams.size(); ++p) {
-    std::fprintf(out, "    \"%s\": {\n", kPacks[p].name);
-    std::fprintf(out, "      \"spec\": \"%s\",\n", kPacks[p].spec);
-    std::fprintf(out, "      \"scenario_trace_hash\": \"%016llx\",\n",
-                 static_cast<unsigned long long>(scenario_hashes[p]));
+    json.begin_object(kPacks[p].name)
+        .string("spec", kPacks[p].spec)
+        .hash("scenario_trace_hash", scenario_hashes[p]);
     for (std::size_t v = 0; v < matrix[p].size(); ++v) {
-      emit(kPostureNames[v], matrix[p][v],
-           v + 1 < matrix[p].size() ? "," : "");
+      const RunStats& stats = matrix[p][v];
+      json.begin_object(kPostureNames[v])
+          .number("f1", stats.f1, 4)
+          .number("mean_latency_ms", stats.mean_latency_ms, 3)
+          .number("p95_latency_ms", stats.p95_latency_ms, 3)
+          .integer("deadline_overruns", stats.deadline_overruns)
+          .integer("dropped_frames", stats.dropped_frames)
+          .integer("model_switches", stats.model_switches)
+          .integer("drift_detections", stats.drift_detections)
+          .integer("drift_responses", stats.drift_responses)
+          .hash("timeline_hash", stats.timeline_hash)
+          .end_object();
     }
-    std::fprintf(out, "    }%s\n", p + 1 < streams.size() ? "," : "");
+    json.end_object();
   }
-  std::fprintf(out, "  }\n");
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_scenarios.json\n");
+  json.end_object();
+  if (!bench::save_json("BENCH_scenarios.json", json)) return 1;
   return (scenario_replay_identical && detach_exact) ? 0 : 1;
 }

@@ -77,15 +77,8 @@ int main() {
     for (const auto& frame : legs[i].frames) {
       const auto result = engine.process(frame);
       counts += detect::match_detections(result.detections, frame.objects);
-      device::FrameCost cost;
-      cost.decision_flops = system.decision->flops_per_sample();
-      cost.detector_flops =
-          system.repository.detector(result.served_model).flops_per_frame();
-      cost.loaded_weight_mb =
-          result.model_loaded
-              ? memory.load_mb(system.repository.detector(result.served_model)
-                                   .weight_bytes())
-              : 0.0;
+      const device::FrameCost cost =
+          device::frame_cost(system, result, memory, /*deadline_ms=*/0.0);
       leg_latency.push_back(session.process(cost));
       total_energy_j += tx2.power_watts(cost.detector_flops, 30.0,
                                         tx2.power_modes.back()) /

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Full correctness gate, ten named stages:
+# Full correctness gate, eleven named stages:
 #
 #   lint      repo lint (token analyzer) + analyzer self-test
 #   release   Release build + tests (warnings are errors)
+#   bench-replay  bench_fault/governor/scenarios reproduce their BENCH files
 #   perfbench benchmark smoke test (perfbench/test_smoke.py, ~30 s)
 #   asan      ASan+UBSan Debug build + tests
 #   tsan      TSan build + tests (thread pool race check)
@@ -33,7 +34,7 @@ report() {
   echo "check.sh stage timings:"
   local i
   for i in "${!stage_names[@]}"; do
-    printf '  %-8s %6ss  %s\n' \
+    printf '  %-12s %6ss  %s\n' \
       "${stage_names[$i]}" "${stage_secs[$i]}" "${stage_results[$i]}"
   done
 }
@@ -72,6 +73,47 @@ stage_release() {
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DANOLE_WERROR=ON &&
   cmake --build build -j "$jobs" &&
   ctest --test-dir build --output-on-failure -j "$jobs"
+}
+
+stage_bench_replay() {
+  # The deterministic benches, rerun from the Release tree in a temp
+  # directory, must exit 0 and reproduce their committed BENCH_*.json in
+  # every field but `provenance`, key order included. A file committed at
+  # another active SIMD level is skipped: fp32 results may differ there
+  # by contract (DESIGN.md §13).
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DANOLE_WERROR=ON \
+    >/dev/null &&
+  cmake --build build -j "$jobs" \
+    --target bench_fault bench_governor bench_scenarios || return 1
+  local tmp name rc=0
+  tmp="$(mktemp -d)"
+  for name in fault governor scenarios; do
+    if ! (cd "$tmp" && "$repo_root/build/bench/bench_$name" \
+            >"bench_$name.log" 2>&1); then
+      cat "$tmp/bench_$name.log" >&2
+      echo "    bench_$name exited non-zero" >&2
+      rc=1
+      continue
+    fi
+    python3 - "BENCH_$name.json" "$tmp/BENCH_$name.json" <<'PY' || rc=1
+import json, sys
+committed, fresh = (json.load(open(path)) for path in sys.argv[1:3])
+want = committed.pop("provenance", {}).get("simd_active")
+have = fresh.pop("provenance", {}).get("simd_active")
+if want != have:
+    print(f"    skip {sys.argv[1]}: committed at SIMD {want}, host runs {have}")
+    sys.exit(0)
+if json.dumps(committed) != json.dumps(fresh):
+    keys = list(dict.fromkeys([*committed, *fresh]))
+    diff = [k for k in keys if committed.get(k) != fresh.get(k)]
+    print(f"    {sys.argv[1]} differs from a fresh run at {diff or 'key order'}",
+          file=sys.stderr)
+    sys.exit(1)
+print(f"    {sys.argv[1]} replays")
+PY
+  done
+  rm -rf "$tmp"
+  return "$rc"
 }
 
 stage_perfbench() {
@@ -155,6 +197,7 @@ stage_tidy() {
 
 run_stage lint    "repo lint + analyzer self-test"                 stage_lint
 run_stage release "Release build + tests (warnings are errors)"    stage_release
+run_stage bench-replay "deterministic BENCH files replay exactly"   stage_bench_replay
 run_stage perfbench "benchmark smoke test (perfbench/)"             stage_perfbench
 run_stage asan    "ASan+UBSan Debug build + tests"                 stage_asan
 run_stage tsan    "TSan build + tests (thread pool race check)"    stage_tsan

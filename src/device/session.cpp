@@ -17,6 +17,29 @@ DeviceSession::DeviceSession(const DeviceProfile& profile,
       governor_(core::governor_enabled_from_env() ? governor : nullptr),
       drift_(core::drift_enabled_from_env() ? drift : nullptr) {}
 
+FrameCost frame_cost(const core::AnoleSystem& system,
+                     const core::EngineResult& result,
+                     const MemoryModel& memory, double deadline_ms) {
+  ANOLE_CHECK(!result.health.frame_dropped,
+              "frame_cost: a shed frame ran nothing and is never billed");
+  detect::GridDetector& detector =
+      *system.repository.model(result.served_model).detector;
+  const double weight_mb = memory.load_mb(detector.weight_bytes());
+  const std::size_t loaded = result.model_loaded ? 1 : 0;
+  ANOLE_CHECK_GE(result.health.load_attempts, loaded,
+                 "frame_cost: a loaded model took at least one attempt");
+  FrameCost cost;
+  cost.decision_flops =
+      result.ranking_reused ? 0 : system.decision->flops_per_sample();
+  cost.detector_flops = detector.flops_per_frame();
+  cost.loaded_weight_mb = result.model_loaded ? weight_mb : 0.0;
+  cost.retried_weight_mb =
+      static_cast<double>(result.health.load_attempts - loaded) * weight_mb;
+  cost.deadline_ms = deadline_ms;
+  cost.quantized = result.model_loaded && result.health.served_quantized;
+  return cost;
+}
+
 double DeviceSession::process(const FrameCost& cost) {
   double latency = 0.0;
   const double streamed_mb = cost.loaded_weight_mb + cost.retried_weight_mb;

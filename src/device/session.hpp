@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/drift.hpp"
+#include "core/engine.hpp"
 #include "core/governor.hpp"
 #include "device/profile.hpp"
 #include "util/fault.hpp"
@@ -41,6 +42,16 @@ struct FrameCost {
   /// above already reflect the smaller payload.
   bool quantized = false;
 };
+
+/// The bill for one frame the engine served: the decision model unless
+/// the ranking was reused, the served detector, that detector's
+/// paper-equivalent MB once if its load succeeded, and once more per
+/// failed attempt (an abandoned load pays for every attempt). A shed
+/// frame (`health.frame_dropped`) ran nothing and must not be billed;
+/// it fails an ANOLE_CHECK.
+FrameCost frame_cost(const core::AnoleSystem& system,
+                     const core::EngineResult& result,
+                     const MemoryModel& memory, double deadline_ms);
 
 class DeviceSession {
  public:

@@ -4,6 +4,9 @@
 
 #include <cmath>
 
+#include "core/profiler.hpp"
+#include "micro_world.hpp"
+
 namespace anole::device {
 namespace {
 
@@ -324,6 +327,73 @@ TEST(DeviceSession, FeedsObservationsToGovernor) {
   EXPECT_DOUBLE_EQ(governor.window_overrun_rate(), 1.0);
   EXPECT_NE(governor.state(), core::GovernorState::kNormal);
   EXPECT_GE(governor.transitions(), 1u);
+}
+
+TEST(DeviceSession, FrameCostFollowsTheServedFrame) {
+  const world::World world = world::make_benchmark_world(micro_world_config());
+  Rng rng(7);
+  const core::AnoleSystem system =
+      core::OfflineProfiler(micro_profiler_config()).run(world, rng);
+  ASSERT_GE(system.model_count(), 2u);
+  const std::size_t last = system.model_count() - 1;
+  detect::GridDetector& first_detector = *system.repository.model(0).detector;
+  detect::GridDetector& last_detector = *system.repository.model(last).detector;
+  const MemoryModel memory(first_detector.weight_bytes());
+  const double first_mb = memory.load_mb(first_detector.weight_bytes());
+  const double last_mb = memory.load_mb(last_detector.weight_bytes());
+
+  // A cache hit pays the decision model and the served detector only.
+  core::EngineResult hit;
+  hit.cache_hit = true;
+  const FrameCost hit_cost = frame_cost(system, hit, memory, 33.3);
+  EXPECT_EQ(hit_cost.decision_flops, system.decision->flops_per_sample());
+  EXPECT_EQ(hit_cost.detector_flops, first_detector.flops_per_frame());
+  EXPECT_EQ(hit_cost.loaded_weight_mb, 0.0);
+  EXPECT_EQ(hit_cost.retried_weight_mb, 0.0);
+  EXPECT_EQ(hit_cost.deadline_ms, 33.3);
+  EXPECT_FALSE(hit_cost.quantized);
+
+  // A reused ranking skipped the decision model.
+  core::EngineResult reused = hit;
+  reused.ranking_reused = true;
+  EXPECT_EQ(frame_cost(system, reused, memory, 0.0).decision_flops, 0u);
+
+  // A load that succeeded on its third attempt: the served model's MB
+  // once as the load and twice as retries.
+  core::EngineResult retried;
+  retried.served_model = last;
+  retried.model_loaded = true;
+  retried.health.load_attempts = 3;
+  const FrameCost retried_cost = frame_cost(system, retried, memory, 0.0);
+  EXPECT_EQ(retried_cost.detector_flops, last_detector.flops_per_frame());
+  EXPECT_EQ(retried_cost.loaded_weight_mb, last_mb);
+  EXPECT_EQ(retried_cost.retried_weight_mb, 2.0 * last_mb);
+
+  // An abandoned load streamed three times and loaded nothing.
+  core::EngineResult abandoned;
+  abandoned.health.load_attempts = 3;
+  abandoned.health.load_abandoned = true;
+  const FrameCost abandoned_cost = frame_cost(system, abandoned, memory, 0.0);
+  EXPECT_EQ(abandoned_cost.loaded_weight_mb, 0.0);
+  EXPECT_EQ(abandoned_cost.retried_weight_mb, 3.0 * first_mb);
+
+  // Only a load of int8 weights is tagged quantized; a corrupt payload
+  // never ran the detector, so the engine leaves served_quantized unset.
+  core::EngineResult quantized_load = retried;
+  quantized_load.health.served_quantized = true;
+  EXPECT_TRUE(frame_cost(system, quantized_load, memory, 0.0).quantized);
+  core::EngineResult quantized_hit = hit;
+  quantized_hit.health.served_quantized = true;
+  EXPECT_FALSE(frame_cost(system, quantized_hit, memory, 0.0).quantized);
+  core::EngineResult corrupt = retried;
+  corrupt.health.payload_corrupt = true;
+  EXPECT_FALSE(frame_cost(system, corrupt, memory, 0.0).quantized);
+
+  // A shed frame ran nothing and is never billed.
+  core::EngineResult shed;
+  shed.health.frame_dropped = true;
+  EXPECT_THROW((void)frame_cost(system, shed, memory, 0.0),
+               ContractViolation);
 }
 
 /// Power-mode sweep: higher budgets give higher throughput (Fig. 11).

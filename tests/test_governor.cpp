@@ -246,7 +246,6 @@ namespace {
 
 using device::DeviceProfile;
 using device::DeviceSession;
-using device::FrameCost;
 using core::GovernorConfig;
 using core::GovernorState;
 using device::MemoryModel;
@@ -346,7 +345,6 @@ LoopOutcome run_loop(AnoleSystem& system,
   const auto profile = DeviceProfile::jetson_tx2_nx(
       system.repository.detector(0).flops_per_frame());
   const MemoryModel memory(system.repository.detector(0).weight_bytes());
-  const std::uint64_t decision_flops = system.decision->flops_per_sample();
   DeviceSession session(profile, 1.0, config.faults.get(), governor.get());
 
   LoopOutcome outcome;
@@ -354,19 +352,8 @@ LoopOutcome run_loop(AnoleSystem& system,
     const EngineResult result = engine.process(*frame);
     outcome.served.push_back(result.served_model);
     if (result.health.frame_dropped) continue;
-    FrameCost cost;
-    // A reused ranking skipped the decision model entirely.
-    cost.decision_flops = result.ranking_reused ? 0 : decision_flops;
-    cost.detector_flops =
-        system.repository.detector(result.served_model).flops_per_frame();
-    const double weight_mb = memory.load_mb(
-        system.repository.detector(result.served_model).weight_bytes());
-    cost.loaded_weight_mb = result.model_loaded ? weight_mb : 0.0;
-    const std::size_t failed_attempts =
-        result.health.load_attempts - (result.model_loaded ? 1 : 0);
-    cost.retried_weight_mb = static_cast<double>(failed_attempts) * weight_mb;
-    cost.deadline_ms = kDeadlineMs;
-    (void)session.process(cost);
+    (void)session.process(
+        device::frame_cost(system, result, memory, kDeadlineMs));
   }
   outcome.overruns = session.deadline_overruns();
   outcome.dropped = engine.dropped_frames();
@@ -537,8 +524,6 @@ TEST_F(GovernorEngineTest, MemoryPressureUnderGovernorStaysReplayable) {
     const auto profile = DeviceProfile::jetson_tx2_nx(
         system_->repository.detector(0).flops_per_frame());
     const MemoryModel memory(system_->repository.detector(0).weight_bytes());
-    const std::uint64_t decision_flops =
-        system_->decision->flops_per_sample();
     DeviceSession session(profile, 1.0, config.faults.get(), &governor);
 
     Replay replay;
@@ -556,20 +541,8 @@ TEST_F(GovernorEngineTest, MemoryPressureUnderGovernorStaysReplayable) {
         ++replay.dropped;
         continue;
       }
-      FrameCost cost;
-      cost.decision_flops = result.ranking_reused ? 0 : decision_flops;
-      cost.detector_flops =
-          system_->repository.detector(result.served_model)
-              .flops_per_frame();
-      const double weight_mb = memory.load_mb(
-          system_->repository.detector(result.served_model).weight_bytes());
-      cost.loaded_weight_mb = result.model_loaded ? weight_mb : 0.0;
-      const std::size_t failed_attempts =
-          result.health.load_attempts - (result.model_loaded ? 1 : 0);
-      cost.retried_weight_mb =
-          static_cast<double>(failed_attempts) * weight_mb;
-      cost.deadline_ms = kDeadlineMs;
-      (void)session.process(cost);
+      (void)session.process(
+          device::frame_cost(*system_, result, memory, kDeadlineMs));
     }
     replay.executed = session.frames();
     replay.governor_hash = governor.trace_hash();
