@@ -4,17 +4,19 @@
 // kernel layers — matmul GFLOP/s, int8 qgemm vs fp32 matmul at a
 // detector layer shape (with the int8 call split into its quantize and
 // dot stages), per-frame featurization, k-means wall time, and one
-// detector training step split into its phases. Kernels are timed
-// against a pinned scalar 1-thread reference (the headline "speedup" is
-// the active dispatch level at 4 pool threads vs that reference). The
+// detector training step split into its phases, alone and with one
+// trainer per pool thread. Kernels are timed against a pinned scalar
+// 1-thread reference (the headline "speedup" is the active dispatch level
+// at 4 pool threads vs that reference; for the 512 matmul the two sides
+// run interleaved and the file holds the median and range). The
 // suite verifies bitwise thread-count invariance at 1/2/4 threads, plus
 // bitwise *level* invariance for the int8 and k-means paths, then times
 // the post-training quantize/dequantize pass and fp32 vs int8-quantized
 // artifact loads on a system trained by one untimed OSP run, and writes
 // the numbers after their provenance (bench::write_provenance) to
 // BENCH_micro.json in the working directory. Exit is non-zero on a
-// determinism failure or — when a vector level is active — on a speedup
-// below the committed floors. OSP and engine-batch wall time are
+// determinism failure or — when a vector level is active — on a median
+// speedup below the committed floors. OSP and engine-batch wall time are
 // perfbench's (`osp_standard` and the traced `stream_clean` run).
 //
 // `bench_micro --gbench [google-benchmark flags]` instead runs the
@@ -32,6 +34,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -168,32 +171,91 @@ BENCHMARK(BM_CacheAdmit);
 /// Thread count the parallel numbers are reported at.
 constexpr std::size_t kBenchThreads = 4;
 
-/// Wall seconds for one 512x512 matmul (best of `reps`) plus a checksum
-/// of the product for cross-thread-count comparison.
-struct MatmulSample {
-  double seconds = 0.0;
-  double gflops = 0.0;
-  float checksum = 0.0f;
+/// Median and range of repeated measurements.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
 };
 
-MatmulSample time_matmul(std::size_t n, int reps) {
+Spread spread_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  Spread spread;
+  if (n == 0) return spread;
+  spread.median = n % 2 == 1 ? values[n / 2]
+                             : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+  spread.min = values.front();
+  spread.max = values.back();
+  return spread;
+}
+
+/// Writes `key: {median, min, max}`.
+void write_spread(JsonWriter& json, std::string_view key, const Spread& s,
+                  int decimals) {
+  json.begin_object(key)
+      .number("median", s.median, decimals)
+      .number("min", s.min, decimals)
+      .number("max", s.max, decimals)
+      .end_object();
+}
+
+/// The 512x512 operands every matmul measurement multiplies.
+struct MatmulOperands {
+  Tensor a;
+  Tensor b;
+};
+
+MatmulOperands matmul_operands(std::size_t n) {
   Rng rng(21);
-  Tensor a = Tensor::matrix(n, n);
-  Tensor b = Tensor::matrix(n, n);
-  for (auto& v : a.data()) v = static_cast<float>(rng.normal());
-  for (auto& v : b.data()) v = static_cast<float>(rng.normal());
-  MatmulSample sample;
-  sample.seconds = 1e30;
-  Tensor c;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    c = matmul(a, b);
-    sample.seconds = std::min(sample.seconds, bench::seconds_since(start));
+  MatmulOperands ops{Tensor::matrix(n, n), Tensor::matrix(n, n)};
+  for (auto& v : ops.a.data()) v = static_cast<float>(rng.normal());
+  for (auto& v : ops.b.data()) v = static_cast<float>(rng.normal());
+  return ops;
+}
+
+/// GFLOP/s of one timed matmul of the operands.
+double matmul_gflops(const MatmulOperands& ops) {
+  const auto start = std::chrono::steady_clock::now();
+  Tensor c = matmul(ops.a, ops.b);
+  const double seconds = bench::seconds_since(start);
+  benchmark::DoNotOptimize(c.data().data());
+  const double n = static_cast<double>(ops.a.rows());
+  return 2.0 * n * n * n / seconds / 1e9;
+}
+
+/// The 512 matmul's scalar 1-thread reference and the active level at
+/// `threads` pool threads, timed in `reps` interleaved pairs so that a
+/// slow spell of the host lands on both sides: the speedup is taken per
+/// pair, and each figure is reported as median and range.
+struct MatmulTiming {
+  std::size_t reps = 0;
+  Spread gflops_scalar_1t;
+  Spread gflops_active;
+  Spread speedup;
+};
+
+MatmulTiming time_matmul_interleaved(std::size_t threads, std::size_t reps) {
+  const MatmulOperands ops = matmul_operands(512);
+  std::vector<double> scalar;
+  std::vector<double> active;
+  std::vector<double> speedup;
+  for (std::size_t r = 0; r < reps; ++r) {
+    simd::set_level(simd::Level::kScalar);
+    par::set_thread_count(1);
+    scalar.push_back(matmul_gflops(ops));
+    simd::reset_level();
+    par::set_thread_count(threads);
+    active.push_back(matmul_gflops(ops));
+    speedup.push_back(active.back() / scalar.back());
   }
-  const double flop = 2.0 * static_cast<double>(n) * n * n;
-  sample.gflops = flop / sample.seconds / 1e9;
-  sample.checksum = c.sum();
-  return sample;
+  par::set_thread_count(0);
+  MatmulTiming timing;
+  timing.reps = reps;
+  timing.gflops_scalar_1t = spread_of(scalar);
+  timing.gflops_active = spread_of(active);
+  timing.speedup = spread_of(speedup);
+  return timing;
 }
 
 /// Best-of-`reps` host microseconds per call of `fn`, each rep timing a
@@ -375,29 +437,23 @@ OspArtifacts train_osp() {
 
 /// Host microseconds per detector training step, split by phase, for one
 /// Algorithm 1 candidate shape: a compressed detector (42 -> 16 -> 5 per
-/// cell) on 8-frame batches, trained for 6x the default epochs (the cap a
-/// small cluster's training set is scaled to). Each step is
-/// train_detector's own (stack_batch, forward, detector_loss,
+/// cell) on 8-frame batches. Each step is train_detector's own
+/// (stack_batch over the compact frame cache, forward, detector_loss,
 /// parameter-only backward, Adam) with a clock read between phases, so
-/// the five phases add up to the step. `reps` fresh trainings from one
-/// seed; the phases are those of the rep with the median step time, and
-/// the fastest and slowest reps give the spread.
-struct TrainStepSample {
-  std::size_t reps = 0;
-  std::size_t frames = 0;
+/// one run's five phases add up to its step. A run reports each phase's
+/// mean per step.
+struct TrainStepRun {
   std::size_t steps = 0;
   std::size_t cells_per_batch = 0;
-  double assemble_us = 0.0;
-  double forward_us = 0.0;
-  double loss_us = 0.0;
-  double backward_us = 0.0;
-  double adam_us = 0.0;
+  double phase_us[5] = {};
   double step_us = 0.0;
-  double step_us_min = 0.0;
-  double step_us_max = 0.0;
 };
 
-TrainStepSample time_train_one(const std::vector<const world::Frame*>& frames) {
+constexpr const char* kTrainPhases[5] = {"assemble_us", "forward_us",
+                                         "loss_us", "backward_us", "adam_us"};
+
+TrainStepRun time_train_one(const std::vector<const world::Frame*>& frames,
+                            std::size_t epochs) {
   using Clock = std::chrono::steady_clock;
   const detect::DetectorTrainConfig config;
   Rng rng(31);
@@ -407,16 +463,14 @@ TrainStepSample time_train_one(const std::vector<const world::Frame*>& frames) {
   net.set_training(true);
   nn::Adam optimizer(net.parameters(), config.learning_rate, 0.9, 0.999,
                      1e-8, config.weight_decay);
-  std::vector<Tensor> inputs;
-  std::vector<detect::GridDetector::Targets> targets;
+  std::vector<detect::CompactFrame> cache;
+  cache.reserve(frames.size());
   for (const world::Frame* frame : frames) {
-    inputs.push_back(detect::GridDetector::build_inputs(*frame));
-    targets.push_back(detect::GridDetector::build_targets(*frame));
+    cache.push_back(detect::compact_frame(*frame));
   }
   Clock::duration phase[5] = {};
-  TrainStepSample sample;
-  sample.frames = frames.size();
-  for (std::size_t epoch = 0; epoch < 6 * config.epochs; ++epoch) {
+  TrainStepRun run;
+  for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     const std::vector<std::size_t> order =
         random_permutation(frames.size(), rng);
     for (std::size_t start = 0; start < order.size();
@@ -425,8 +479,7 @@ TrainStepSample time_train_one(const std::vector<const world::Frame*>& frames) {
           std::min(config.frames_per_batch, order.size() - start);
       const Clock::time_point t0 = Clock::now();
       detect::DetectorBatch batch = detect::stack_batch(
-          inputs, targets,
-          std::span<const std::size_t>(order).subspan(start, count));
+          cache, std::span<const std::size_t>(order).subspan(start, count));
       const Clock::time_point t1 = Clock::now();
       const Tensor outputs = net.forward(std::move(batch.inputs));
       const Clock::time_point t2 = Clock::now();
@@ -445,56 +498,131 @@ TrainStepSample time_train_one(const std::vector<const world::Frame*>& frames) {
       phase[2] += t3 - t2;
       phase[3] += t4 - t3;
       phase[4] += t5 - t4;
-      if (start == 0) sample.cells_per_batch = outputs.rows();
-      ++sample.steps;
+      if (start == 0) run.cells_per_batch = outputs.rows();
+      ++run.steps;
     }
   }
-  const auto per_step_us = [&](Clock::duration d) {
-    return std::chrono::duration<double, std::micro>(d).count() /
-           static_cast<double>(sample.steps);
-  };
-  sample.assemble_us = per_step_us(phase[0]);
-  sample.forward_us = per_step_us(phase[1]);
-  sample.loss_us = per_step_us(phase[2]);
-  sample.backward_us = per_step_us(phase[3]);
-  sample.adam_us = per_step_us(phase[4]);
-  sample.step_us = per_step_us(phase[0] + phase[1] + phase[2] + phase[3] +
-                               phase[4]);
+  for (int p = 0; p < 5; ++p) {
+    run.phase_us[p] = std::chrono::duration<double, std::micro>(phase[p])
+                          .count() /
+                      static_cast<double>(run.steps);
+    run.step_us += run.phase_us[p];
+  }
+  return run;
+}
+
+/// Per-phase median and range over a set of runs of one shape.
+struct TrainStepSample {
+  std::size_t runs = 0;
+  std::size_t trainers = 1;
+  std::size_t frames = 0;
+  std::size_t steps = 0;
+  std::size_t cells_per_batch = 0;
+  Spread phase_us[5];
+  Spread step_us;
+};
+
+TrainStepSample summarize_train_runs(const std::vector<TrainStepRun>& runs,
+                                     std::size_t frames,
+                                     std::size_t trainers) {
+  TrainStepSample sample;
+  sample.runs = runs.size();
+  sample.trainers = trainers;
+  sample.frames = frames;
+  sample.steps = runs.front().steps;
+  sample.cells_per_batch = runs.front().cells_per_batch;
+  for (int p = 0; p < 5; ++p) {
+    std::vector<double> values;
+    for (const TrainStepRun& run : runs) values.push_back(run.phase_us[p]);
+    sample.phase_us[p] = spread_of(values);
+  }
+  std::vector<double> steps;
+  for (const TrainStepRun& run : runs) steps.push_back(run.step_us);
+  sample.step_us = spread_of(steps);
   return sample;
 }
 
-TrainStepSample time_detector_train_step(const world::World& world,
-                                         std::size_t frame_count,
-                                         std::size_t reps) {
+std::vector<const world::Frame*> train_frames(const world::World& world,
+                                              std::size_t frame_count) {
   std::vector<const world::Frame*> frames =
       world.frames_with_role(world::SplitRole::kTrain);
   frames.resize(std::min(frames.size(), frame_count));
-  std::vector<TrainStepSample> runs;
-  for (std::size_t r = 0; r < reps; ++r) {
-    runs.push_back(time_train_one(frames));
-  }
-  std::sort(runs.begin(), runs.end(),
-            [](const TrainStepSample& a, const TrainStepSample& b) {
-              return a.step_us < b.step_us;
-            });
-  TrainStepSample sample = runs[runs.size() / 2];
-  sample.reps = reps;
-  sample.step_us_min = runs.front().step_us;
-  sample.step_us_max = runs.back().step_us;
-  return sample;
+  return frames;
 }
 
-/// One matmul+qgemm+kmeans measurement at the current dispatch level and
-/// pool thread count.
+/// `reps` fresh trainings from one seed, one after another on the calling
+/// thread (as a lone candidate trains on one pool worker).
+TrainStepSample time_detector_train_step(const world::World& world,
+                                         std::size_t frame_count,
+                                         std::size_t epochs,
+                                         std::size_t reps) {
+  const auto frames = train_frames(world, frame_count);
+  std::vector<TrainStepRun> runs;
+  for (std::size_t r = 0; r < reps; ++r) {
+    runs.push_back(time_train_one(frames, epochs));
+  }
+  return summarize_train_runs(runs, frames.size(), 1);
+}
+
+/// The same trainings under Algorithm 1's load: each rep runs one trainer
+/// per pool thread through par::parallel_for, as the repository trains
+/// its candidates, each with its own frame cache.
+TrainStepSample time_loaded_train_step(const world::World& world,
+                                       std::size_t frame_count,
+                                       std::size_t epochs, std::size_t reps) {
+  const auto frames = train_frames(world, frame_count);
+  const std::size_t trainers = par::thread_count();
+  std::vector<TrainStepRun> runs(reps * trainers);
+  for (std::size_t r = 0; r < reps; ++r) {
+    par::parallel_for(0, trainers, 1, [&](std::size_t t) {
+      runs[r * trainers + t] = time_train_one(frames, epochs);
+    });
+  }
+  return summarize_train_runs(runs, frames.size(), trainers);
+}
+
+void write_train_step(JsonWriter& json, std::string_view key,
+                      const TrainStepSample& sample) {
+  json.begin_object(key)
+      .string("widths", "42x16x5")
+      .integer("frames", sample.frames)
+      .integer("cells_per_batch", sample.cells_per_batch)
+      .integer("steps", sample.steps)
+      .integer("trainers", sample.trainers)
+      .integer("runs", sample.runs);
+  for (int p = 0; p < 5; ++p) {
+    write_spread(json, kTrainPhases[p], sample.phase_us[p], 2);
+  }
+  write_spread(json, "step_us", sample.step_us, 2);
+  json.end_object();
+}
+
+void print_train_step(const char* label, const TrainStepSample& sample) {
+  std::fprintf(stderr,
+               "[bench_micro] detector train step, %s (%zu trainer(s), %zu "
+               "cells, %zu steps, median of %zu runs): %.1f us; assemble "
+               "%.1f, forward %.1f, loss %.1f, backward %.1f, adam %.1f "
+               "(steps %.1f-%.1f us)\n",
+               label, sample.trainers, sample.cells_per_batch, sample.steps,
+               sample.runs, sample.step_us.median, sample.phase_us[0].median,
+               sample.phase_us[1].median, sample.phase_us[2].median,
+               sample.phase_us[3].median, sample.phase_us[4].median,
+               sample.step_us.min, sample.step_us.max);
+}
+
+/// One qgemm+kmeans measurement at the current dispatch level and pool
+/// thread count, plus the 512 matmul's product checksum for the
+/// thread-count comparison (its timing is time_matmul_interleaved's).
 struct KernelSet {
-  MatmulSample matmul;
+  float matmul_checksum = 0.0f;
   GemmSample qgemm;
   KMeansSample kmeans;
 };
 
 KernelSet run_kernels(std::size_t m, std::size_t k, std::size_t n) {
   KernelSet set;
-  set.matmul = time_matmul(512, 5);
+  const MatmulOperands ops = matmul_operands(512);
+  set.matmul_checksum = matmul(ops.a, ops.b).sum();
   set.qgemm = time_qgemm(m, k, n, 5, 512);
   set.kmeans = time_kmeans(3);
   return set;
@@ -551,17 +679,27 @@ int run_json_suite() {
   const QuantArtifactSample quant = time_quant_artifact(osp.system);
 
   // One Algorithm 1 candidate's training steps at the active level, on
-  // the calling thread (as each candidate trains on one pool worker).
+  // the calling thread, for 6x the default epochs (the cap a small
+  // cluster's training set is scaled to); then one candidate per pool
+  // thread at once.
   std::fprintf(stderr, "[bench_micro] detector training step phases...\n");
-  const TrainStepSample train_step =
-      time_detector_train_step(osp.world, 216, 5);
+  const detect::DetectorTrainConfig defaults;
+  const TrainStepSample train_step = time_detector_train_step(
+      osp.world, 216, 6 * defaults.epochs, 5);
+  const TrainStepSample loaded_step =
+      time_loaded_train_step(osp.world, 810, defaults.epochs, 3);
   par::set_thread_count(0);
+
+  // The 512 matmul, scalar 1-thread reference and active level
+  // interleaved.
+  const MatmulTiming matmul_timing =
+      time_matmul_interleaved(kBenchThreads, 9);
 
   // Bitwise thread-count invariance at the active level (1 vs 2 vs 4).
   const bool matmul_identical =
-      std::memcmp(&active_1t.matmul.checksum, &active_2t.matmul.checksum,
+      std::memcmp(&active_1t.matmul_checksum, &active_2t.matmul_checksum,
                   sizeof(float)) == 0 &&
-      std::memcmp(&active_1t.matmul.checksum, &active_4t.matmul.checksum,
+      std::memcmp(&active_1t.matmul_checksum, &active_4t.matmul_checksum,
                   sizeof(float)) == 0;
   const bool qgemm_identical =
       bitwise_equal_tensor(active_1t.qgemm.int8_product,
@@ -582,19 +720,18 @@ int run_json_suite() {
       scalar_1t.kmeans.inertia, active_4t.kmeans.inertia);
 
   // Headline speedups: active level at 4 threads vs the scalar serial
-  // reference.
-  const double matmul_speedup =
-      active_4t.matmul.gflops / scalar_1t.matmul.gflops;
+  // reference (the matmul's as the median of its interleaved pairs).
+  const double matmul_speedup = matmul_timing.speedup.median;
   const double qgemm_speedup =
       scalar_1t.qgemm.int8_us / active_4t.qgemm.int8_us;
   const double kmeans_speedup =
       scalar_1t.kmeans.seconds / active_4t.kmeans.seconds;
 
-  json.begin_object("matmul_512")
-      .number("gflops_scalar_1t", scalar_1t.matmul.gflops, 4)
-      .number("speedup", matmul_speedup, 4)
-      .boolean("identical_results", matmul_identical)
-      .end_object();
+  json.begin_object("matmul_512").integer("reps", matmul_timing.reps);
+  write_spread(json, "gflops_scalar_1t", matmul_timing.gflops_scalar_1t, 4);
+  write_spread(json, "gflops_active", matmul_timing.gflops_active, 4);
+  write_spread(json, "speedup", matmul_timing.speedup, 4);
+  json.boolean("identical_results", matmul_identical).end_object();
   json.begin_object("qgemm_144x42x16")
       .number("fp32_us_1t", active_1t.qgemm.fp32_us, 4)
       .number("int8_us_scalar_1t", scalar_1t.qgemm.int8_us, 4)
@@ -625,21 +762,8 @@ int run_json_suite() {
       .number("fp32_load_seconds", quant.fp32_load_seconds, 6)
       .number("v3_load_seconds", quant.quantized_load_seconds, 6)
       .end_object();
-  json.begin_object("detector_train_step")
-      .string("widths", "42x16x5")
-      .integer("frames", train_step.frames)
-      .integer("cells_per_batch", train_step.cells_per_batch)
-      .integer("steps", train_step.steps)
-      .integer("reps", train_step.reps)
-      .number("assemble_us", train_step.assemble_us, 2)
-      .number("forward_us", train_step.forward_us, 2)
-      .number("loss_us", train_step.loss_us, 2)
-      .number("backward_us", train_step.backward_us, 2)
-      .number("adam_us", train_step.adam_us, 2)
-      .number("step_us", train_step.step_us, 2)
-      .number("step_us_min", train_step.step_us_min, 2)
-      .number("step_us_max", train_step.step_us_max, 2)
-      .end_object();
+  write_train_step(json, "detector_train_step", train_step);
+  write_train_step(json, "detector_train_step_loaded", loaded_step);
   json.begin_object("kmeans_2000x48_k16")
       .number("seconds_scalar_1t", scalar_1t.kmeans.seconds, 6)
       .number("speedup", kmeans_speedup, 4)
@@ -659,25 +783,20 @@ int run_json_suite() {
 
   std::fprintf(stderr,
                "[bench_micro] simd %s: matmul %.2f -> %.2f GFLOP/s "
-               "(%.2fx), qgemm int8 %.1fus -> %.1fus (%.2fx), kmeans "
-               "%.3fs -> %.3fs (%.2fx), artifact fp32 %zuB/%.3fs vs int8 "
-               "%zuB/%.3fs\n",
-               simd::level_name(active), scalar_1t.matmul.gflops,
-               active_4t.matmul.gflops, matmul_speedup,
+               "(median %.2fx, %.2f-%.2fx over %zu pairs), qgemm int8 "
+               "%.1fus -> %.1fus (%.2fx), kmeans %.3fs -> %.3fs (%.2fx), "
+               "artifact fp32 %zuB/%.3fs vs int8 %zuB/%.3fs\n",
+               simd::level_name(active), matmul_timing.gflops_scalar_1t.median,
+               matmul_timing.gflops_active.median, matmul_speedup,
+               matmul_timing.speedup.min, matmul_timing.speedup.max,
+               matmul_timing.reps,
                scalar_1t.qgemm.int8_us, active_4t.qgemm.int8_us,
                qgemm_speedup, scalar_1t.kmeans.seconds,
                active_4t.kmeans.seconds, kmeans_speedup, quant.fp32_bytes,
                quant.fp32_load_seconds, quant.quantized_bytes,
                quant.quantized_load_seconds);
-  std::fprintf(stderr,
-               "[bench_micro] detector train step (%zu cells, %zu steps): "
-               "%.1f us = assemble %.1f + forward %.1f + loss %.1f + "
-               "backward %.1f + adam %.1f (reps %.1f-%.1f us)\n",
-               train_step.cells_per_batch, train_step.steps,
-               train_step.step_us, train_step.assemble_us,
-               train_step.forward_us, train_step.loss_us,
-               train_step.backward_us, train_step.adam_us,
-               train_step.step_us_min, train_step.step_us_max);
+  print_train_step("alone", train_step);
+  print_train_step("loaded", loaded_step);
   std::fprintf(stderr, "[bench_micro] determinism %s, speedup floors %s\n",
                all_identical ? "OK" : "FAILED",
                speedups_ok ? "OK" : "FAILED");

@@ -3,7 +3,8 @@
 #
 #   lint      repo lint (token analyzer) + analyzer self-test
 #   release   Release build + tests (warnings are errors)
-#   bench-replay  bench_fault/governor/scenarios reproduce their BENCH files
+#   bench-replay  bench_fault/governor/scenarios reproduce their BENCH files;
+#             bench_micro reproduces BENCH_micro.json's non-timing fields
 #   perfbench benchmark smoke test (perfbench/test_smoke.py, ~30 s)
 #   asan      ASan+UBSan Debug build + tests
 #   tsan      TSan build + tests (thread pool race check)
@@ -84,7 +85,8 @@ stage_bench_replay() {
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DANOLE_WERROR=ON \
     >/dev/null &&
   cmake --build build -j "$jobs" \
-    --target bench_fault bench_governor bench_scenarios || return 1
+    --target bench_fault bench_governor bench_scenarios bench_micro ||
+    return 1
   local tmp name rc=0
   tmp="$(mktemp -d)"
   for name in fault governor scenarios; do
@@ -112,6 +114,46 @@ if json.dumps(committed) != json.dumps(fresh):
 print(f"    {sys.argv[1]} replays")
 PY
   done
+  # bench_micro times host kernels, so its timings are ungated here, and
+  # so is its exit code, which also carries its speedup floors. Its
+  # non-timing fields (shapes, step counts, determinism verdicts) must
+  # equal the committed file's.
+  local micro_rc=0
+  (cd "$tmp" && "$repo_root/build/bench/bench_micro" >bench_micro.log 2>&1) ||
+    micro_rc=$?
+  if [[ ! -f "$tmp/BENCH_micro.json" ]]; then
+    cat "$tmp/bench_micro.log" >&2
+    echo "    bench_micro wrote no BENCH_micro.json" >&2
+    rc=1
+  else
+    python3 - BENCH_micro.json "$tmp/BENCH_micro.json" "$micro_rc" <<'PY' || rc=1
+import json, sys
+committed, fresh = (json.load(open(path)) for path in sys.argv[1:3])
+want = committed.pop("provenance", {}).get("simd_active")
+have = fresh.pop("provenance", {}).get("simd_active")
+if want != have:
+    print(f"    skip {sys.argv[1]}: committed at SIMD {want}, host runs {have}")
+    sys.exit(0)
+KEYS = {"widths", "frames", "steps", "cells_per_batch", "identical_results",
+        "identical_across_levels"}
+def fields(node, path=""):
+    out = {}
+    for key, value in node.items():
+        if isinstance(value, dict):
+            out.update(fields(value, f"{path}{key}."))
+        elif key in KEYS:
+            out[path + key] = value
+    return out
+want, have = fields(committed), fields(fresh)
+diff = sorted(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
+if diff:
+    print(f"    {sys.argv[1]} differs from a fresh run at {diff}", file=sys.stderr)
+    sys.exit(1)
+note = "" if sys.argv[3] == "0" else f"; bench_micro exited {sys.argv[3]}"
+print(f"    {sys.argv[1]} replays its {len(want)} non-timing fields "
+      f"(timings ungated{note})")
+PY
+  fi
   rm -rf "$tmp"
   return "$rc"
 }
@@ -197,7 +239,7 @@ stage_tidy() {
 
 run_stage lint    "repo lint + analyzer self-test"                 stage_lint
 run_stage release "Release build + tests (warnings are errors)"    stage_release
-run_stage bench-replay "deterministic BENCH files replay exactly"   stage_bench_replay
+run_stage bench-replay "BENCH files replay (bench_micro: non-timing)" stage_bench_replay
 run_stage perfbench "benchmark smoke test (perfbench/)"             stage_perfbench
 run_stage asan    "ASan+UBSan Debug build + tests"                 stage_asan
 run_stage tsan    "TSan build + tests (thread pool race check)"    stage_tsan

@@ -189,28 +189,32 @@ ModelRepository train_model_repository(
   }
 
   // Train the whole queue in one pool job, handed out in ascending order.
-  // A worker skips candidate c once the finished candidates before it
+  // Candidate c is not needed once the finished candidates before it
   // already accept n models: the walk below fills the repository before
-  // reaching c. So at most threads - 1 candidates past the last one the
-  // walk needs are trained and thrown away.
+  // reaching c. That condition only ever turns true (candidates finish,
+  // none un-finish), so a worker checks it before starting c and again at
+  // every epoch boundary of c's training, and drops c as soon as it holds.
+  // A dropped candidate is never one the walk reads, so the result does
+  // not depend on when, or whether, a drop happens.
   std::mutex queue_mutex;
   std::vector<bool> finished_accepted(candidates.size(), false);
+  const auto walk_fills_before = [&](std::size_t c) {
+    std::lock_guard<std::mutex> lock(queue_mutex);
+    const auto accepted_before = static_cast<std::size_t>(std::count(
+        finished_accepted.begin(),
+        finished_accepted.begin() + static_cast<std::ptrdiff_t>(c), true));
+    return accepted_before >= config.target_models;
+  };
   par::parallel_for(0, candidates.size(), 1, [&](std::size_t c) {
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex);
-      const auto accepted_before = static_cast<std::size_t>(
-          std::count(finished_accepted.begin(),
-                     finished_accepted.begin() +
-                         static_cast<std::ptrdiff_t>(c),
-                     true));
-      if (accepted_before >= config.target_models) return;
-    }
+    if (walk_fills_before(c)) return;
     Candidate& candidate = candidates[c];
     candidate.detector = std::make_unique<detect::GridDetector>(
         config.detector_config, candidate.rng,
         candidate.train.front()->grid_size);
-    detect::train_detector(*candidate.detector, candidate.train,
-                           train_config, candidate.rng);
+    const detect::DetectorTrainResult trained = detect::train_detector(
+        *candidate.detector, candidate.train, train_config, candidate.rng,
+        [&] { return walk_fills_before(c); });
+    if (trained.stopped) return;
     candidate.f1 = detect::evaluate_f1(*candidate.detector, candidate.val);
     std::lock_guard<std::mutex> lock(queue_mutex);
     finished_accepted[c] = accepts(candidate);

@@ -39,22 +39,31 @@ void copy_rows(const Tensor& src, Tensor& dst, std::size_t row) {
 
 }  // namespace
 
-DetectorBatch stack_batch(const std::vector<Tensor>& inputs,
-                          const std::vector<GridDetector::Targets>& targets,
+CompactFrame compact_frame(const world::Frame& frame) {
+  ANOLE_CHECK_GE(frame.grid_size, 1u, "compact_frame: frame has no grid");
+  CompactFrame compact;
+  compact.grid_size = frame.grid_size;
+  compact.cell_features = GridDetector::build_cell_features(frame);
+  world::write_channel_moments(frame, compact.context);
+  compact.targets = GridDetector::build_targets(frame);
+  return compact;
+}
+
+DetectorBatch stack_batch(const std::vector<CompactFrame>& frames,
                           std::span<const std::size_t> order) {
-  ANOLE_CHECK_EQ(inputs.size(), targets.size(),
-                 "stack_batch: inputs and targets disagree on frame count");
+  constexpr std::size_t kCellFeatures = GridDetector::kCellFeatures;
   const std::size_t features = GridDetector::input_features();
   std::size_t cells = 0;
   for (std::size_t f : order) {
-    ANOLE_CHECK_LT(f, inputs.size(), "stack_batch: frame index out of range");
-    const std::size_t rows = inputs[f].rows();
-    ANOLE_CHECK(is_matrix(inputs[f], rows, features) &&
-                    is_matrix(targets[f].objectness, rows, 1) &&
-                    is_matrix(targets[f].boxes, rows, kBoxOutputs) &&
-                    is_matrix(targets[f].box_mask, rows, kBoxOutputs),
-                "stack_batch: frame ", f, " inputs/targets disagree on "
-                "shape");
+    ANOLE_CHECK_LT(f, frames.size(), "stack_batch: frame index out of range");
+    const CompactFrame& frame = frames[f];
+    const std::size_t rows = frame.grid_size * frame.grid_size;
+    ANOLE_CHECK(is_matrix(frame.cell_features, rows, kCellFeatures) &&
+                    is_matrix(frame.targets.objectness, rows, 1) &&
+                    is_matrix(frame.targets.boxes, rows, kBoxOutputs) &&
+                    is_matrix(frame.targets.box_mask, rows, kBoxOutputs),
+                "stack_batch: frame ", f, " features/targets do not match "
+                "its ", frame.grid_size, "x", frame.grid_size, " grid");
     cells += rows;
   }
   // Every row of all four tensors is written below: skip the zero-fill.
@@ -65,11 +74,22 @@ DetectorBatch stack_batch(const std::vector<Tensor>& inputs,
   batch.targets.box_mask = Tensor::uninitialized(Shape{cells, kBoxOutputs});
   std::size_t row = 0;
   for (std::size_t f : order) {
-    copy_rows(inputs[f], batch.inputs, row);
-    copy_rows(targets[f].objectness, batch.targets.objectness, row);
-    copy_rows(targets[f].boxes, batch.targets.boxes, row);
-    copy_rows(targets[f].box_mask, batch.targets.box_mask, row);
-    row += inputs[f].rows();
+    const CompactFrame& frame = frames[f];
+    const std::size_t g = frame.grid_size;
+    const float* cell = frame.cell_features.data().data();
+    float* out = batch.inputs.data().data() + row * features;
+    for (std::size_t y = 0; y < g; ++y) {
+      for (std::size_t x = 0; x < g; ++x) {
+        GridDetector::assemble_input_row(cell, cell + world::kCellChannels,
+                                         frame.context.data(), x, y, g, out);
+        cell += kCellFeatures;
+        out += features;
+      }
+    }
+    copy_rows(frame.targets.objectness, batch.targets.objectness, row);
+    copy_rows(frame.targets.boxes, batch.targets.boxes, row);
+    copy_rows(frame.targets.box_mask, batch.targets.box_mask, row);
+    row += g * g;
   }
   return batch;
 }
@@ -168,7 +188,8 @@ std::size_t DetectorTrainConfig::effective_epochs(std::size_t frames) const {
 
 DetectorTrainResult train_detector(
     GridDetector& detector, const std::vector<const world::Frame*>& frames,
-    const DetectorTrainConfig& config, Rng& rng) {
+    const DetectorTrainConfig& config, Rng& rng,
+    const std::function<bool()>& stop) {
   ANOLE_CHECK_GE(config.frames_per_batch, 1u,
                  "train_detector: frames_per_batch == 0 would never advance");
   ANOLE_CHECK(config.learning_rate > 0.0,
@@ -186,22 +207,23 @@ DetectorTrainResult train_detector(
   nn::Adam optimizer(net.parameters(), config.learning_rate, 0.9, 0.999,
                      1e-8, config.weight_decay);
 
-  // Featurize every frame once up front: inputs and targets are pure
-  // functions of the frame, and rebuilding them per batch per epoch used
-  // to dominate the non-GEMM training profile. A batch is then one block
-  // copy per tensor per frame (stack_batch).
-  std::vector<Tensor> cached_inputs(frames.size());
-  std::vector<GridDetector::Targets> cached_targets(frames.size());
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    cached_inputs[f] = GridDetector::build_inputs(*frames[f]);
-    cached_targets[f] = GridDetector::build_targets(*frames[f]);
-    ANOLE_CHECK_EQ(cached_inputs[f].rows(), frames[f]->cell_count(),
-                   "train_detector: frame ", f, " inputs do not match its "
-                   "cells");
+  // Featurize every frame once up front, in the compact layout: inputs
+  // and targets are pure functions of the frame, and rebuilding them per
+  // batch per epoch used to dominate the non-GEMM training profile, while
+  // caching whole input rows held the frame's context once per cell.
+  std::vector<CompactFrame> cache;
+  cache.reserve(frames.size());
+  for (const world::Frame* frame : frames) {
+    ANOLE_CHECK_NOTNULL(frame, "train_detector: null frame pointer");
+    cache.push_back(compact_frame(*frame));
   }
 
   const std::size_t epochs = config.effective_epochs(frames.size());
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
+    if (stop && stop()) {
+      result.stopped = true;
+      break;
+    }
     auto order = random_permutation(frames.size(), rng);
     double epoch_loss = 0.0;
     std::size_t batches = 0;
@@ -210,7 +232,7 @@ DetectorTrainResult train_detector(
       const std::size_t end =
           std::min(start + config.frames_per_batch, order.size());
       DetectorBatch batch = stack_batch(
-          cached_inputs, cached_targets,
+          cache,
           std::span<const std::size_t>(order).subspan(start, end - start));
       const Tensor outputs = net.forward(std::move(batch.inputs));
       Tensor grad;

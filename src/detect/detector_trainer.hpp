@@ -2,6 +2,8 @@
 // weighting — object cells are rare) and masked box-regression MSE.
 #pragma once
 
+#include <array>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -32,9 +34,28 @@ struct DetectorTrainConfig {
 };
 
 struct DetectorTrainResult {
+  /// One loss per epoch run.
   std::vector<double> epoch_losses;
   std::size_t frames_seen = 0;
+  /// True when the stop predicate ended training before its last epoch.
+  bool stopped = false;
 };
+
+/// One training frame as train_detector caches it: only what varies per
+/// cell, the frame's context once, and the targets. A frame's input rows
+/// (GridDetector::build_inputs) repeat the same 24 context floats in every
+/// cell; this layout holds 16 floats per cell instead of 42.
+struct CompactFrame {
+  std::size_t grid_size = 0;
+  /// [cells, GridDetector::kCellFeatures]: GridDetector::build_cell_features.
+  Tensor cell_features;
+  /// world::write_channel_moments of the frame.
+  std::array<float, world::kChannelMoments> context{};
+  GridDetector::Targets targets;
+};
+
+/// Featurizes one frame into the compact training layout.
+CompactFrame compact_frame(const world::Frame& frame);
 
 /// One training batch: the per-cell rows of a few frames, stacked.
 struct DetectorBatch {
@@ -42,12 +63,12 @@ struct DetectorBatch {
   GridDetector::Targets targets;  ///< stacked like the inputs
 };
 
-/// Stacks the featurized frames `order` (indices into `inputs` and
-/// `targets`, the per-frame build_inputs / build_targets tensors) into one
-/// batch: one block copy per tensor per frame, after an O(1) shape check
-/// of each frame's four tensors.
-DetectorBatch stack_batch(const std::vector<Tensor>& inputs,
-                          const std::vector<GridDetector::Targets>& targets,
+/// Stacks the compact frames `order` (indices into `frames`) into one
+/// batch, after an O(1) shape check of each frame's tensors. Each input
+/// row is GridDetector::assemble_input_row over the cached features, so
+/// the rows are bit for bit those build_inputs writes; the targets are
+/// one block copy per tensor per frame.
+DetectorBatch stack_batch(const std::vector<CompactFrame>& frames,
                           std::span<const std::size_t> order);
 
 /// The two terms of the detector objective on one batch.
@@ -71,10 +92,14 @@ DetectorLoss detector_loss(const Tensor& outputs,
                            Tensor& grad);
 
 /// Trains `detector` on `frames` (ground truth comes from each frame).
-DetectorTrainResult train_detector(GridDetector& detector,
-                                   const std::vector<const world::Frame*>& frames,
-                                   const DetectorTrainConfig& config,
-                                   Rng& rng);
+/// When `stop` is set it is called before every epoch, and the first true
+/// ends training there: the result then holds one loss per epoch run and
+/// `stopped` is set. Algorithm 1 uses it to drop candidates the acceptance
+/// walk will never read.
+DetectorTrainResult train_detector(
+    GridDetector& detector, const std::vector<const world::Frame*>& frames,
+    const DetectorTrainConfig& config, Rng& rng,
+    const std::function<bool()>& stop = {});
 
 /// Micro F1 of a detector over frames: the F1 of the MatchCounts summed
 /// over all frames (not a mean of per-frame F1 scores).

@@ -15,6 +15,48 @@ namespace {
 /// Context descriptor width: per-channel mean and stddev of the frame.
 constexpr std::size_t kContextFeatures = world::kChannelMoments;
 
+/// Whether the frame's cell tensor matches its grid.
+bool cells_match_grid(const world::Frame& frame) {
+  return frame.cells.rank() == 2 &&
+         frame.cells.rows() == frame.cell_count() &&
+         frame.cells.cols() == world::kCellChannels;
+}
+
+/// Mean of the object block over the in-grid 3x3 neighborhood of cell
+/// (x, y), written to out[0, kBlockChannels). `cp` is the frame's
+/// row-major cell tensor. Forced inline into both per-cell loops: as a
+/// call per cell it made build_inputs, which every served frame runs,
+/// take ~4.0 µs per frame instead of ~2.5 µs.
+[[gnu::always_inline]] inline void neighborhood_means(const float* cp,
+                                                      std::size_t g,
+                                                      std::size_t x,
+                                                      std::size_t y,
+                                                      float* out) {
+  float neighborhood[world::kBlockChannels] = {};
+  int count = 0;
+  for (int dy = -1; dy <= 1; ++dy) {
+    for (int dx = -1; dx <= 1; ++dx) {
+      const int nx = static_cast<int>(x) + dx;
+      const int ny = static_cast<int>(y) + dy;
+      if (nx < 0 || ny < 0 || nx >= static_cast<int>(g) ||
+          ny >= static_cast<int>(g)) {
+        continue;
+      }
+      const float* neighbor =
+          cp + (static_cast<std::size_t>(ny) * g +
+                static_cast<std::size_t>(nx)) *
+                   world::kCellChannels;
+      for (std::size_t c = 0; c < world::kBlockChannels; ++c) {
+        neighborhood[c] += neighbor[2 * world::kBlockChannels + c];
+      }
+      ++count;
+    }
+  }
+  for (std::size_t c = 0; c < world::kBlockChannels; ++c) {
+    out[c] = neighborhood[c] / static_cast<float>(count);
+  }
+}
+
 }  // namespace
 
 GridDetectorConfig GridDetectorConfig::compressed(std::string name) {
@@ -54,20 +96,16 @@ std::size_t GridDetector::input_features() {
 }
 
 Tensor GridDetector::build_inputs(const world::Frame& frame) {
-  const std::size_t g = frame.grid_size;
-  const std::size_t cells = frame.cell_count();
-  ANOLE_CHECK(frame.cells.rank() == 2 && frame.cells.rows() == cells &&
-                  frame.cells.cols() == world::kCellChannels,
+  ANOLE_CHECK(cells_match_grid(frame),
               "GridDetector::build_inputs: frame cell tensor shape ",
               shape_to_string(frame.cells.shape()), " does not match grid ",
-              g, "x", g);
+              frame.grid_size, "x", frame.grid_size);
   // Hot on both the serving and training paths (every infer featurizes
-  // its frame), so the assembly runs on raw row pointers: same values in
-  // the same order as the span-per-cell version, minus the per-access
-  // span construction and index arithmetic. Every element of every row
-  // is written below, so the zero-fill is skipped too.
+  // its frame), so the assembly runs on raw row pointers. Every element
+  // of every row is written below, so the zero-fill is skipped.
+  const std::size_t g = frame.grid_size;
   const std::size_t features = input_features();
-  Tensor inputs = Tensor::uninitialized(Shape{cells, features});
+  Tensor inputs = Tensor::uninitialized(Shape{frame.cell_count(), features});
   float context[kContextFeatures];
   world::write_channel_moments(frame, context);
   float* const ip = inputs.data().data();
@@ -75,43 +113,33 @@ Tensor GridDetector::build_inputs(const world::Frame& frame) {
   for (std::size_t y = 0; y < g; ++y) {
     for (std::size_t x = 0; x < g; ++x) {
       const std::size_t i = y * g + x;
-      float* row = ip + i * features;
-      const float* cell = cp + i * world::kCellChannels;
-      std::copy(cell, cell + world::kCellChannels, row);
-      std::copy(context, context + kContextFeatures,
-                row + world::kCellChannels);
-      row[world::kCellChannels + kContextFeatures] =
-          static_cast<float>(x) / static_cast<float>(g);
-      row[world::kCellChannels + kContextFeatures + 1] =
-          static_cast<float>(y) / static_cast<float>(g);
-      // Neighborhood mean of the object block.
-      float neighborhood[world::kBlockChannels] = {};
-      int count = 0;
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          const int nx = static_cast<int>(x) + dx;
-          const int ny = static_cast<int>(y) + dy;
-          if (nx < 0 || ny < 0 || nx >= static_cast<int>(g) ||
-              ny >= static_cast<int>(g)) {
-            continue;
-          }
-          const float* neighbor =
-              cp + (static_cast<std::size_t>(ny) * g +
-                    static_cast<std::size_t>(nx)) *
-                       world::kCellChannels;
-          for (std::size_t c = 0; c < world::kBlockChannels; ++c) {
-            neighborhood[c] += neighbor[2 * world::kBlockChannels + c];
-          }
-          ++count;
-        }
-      }
-      for (std::size_t c = 0; c < world::kBlockChannels; ++c) {
-        row[world::kCellChannels + kContextFeatures + 2 + c] =
-            neighborhood[c] / static_cast<float>(count);
-      }
+      float neighborhood[world::kBlockChannels];
+      neighborhood_means(cp, g, x, y, neighborhood);
+      assemble_input_row(cp + i * world::kCellChannels, neighborhood, context,
+                         x, y, g, ip + i * features);
     }
   }
   return inputs;
+}
+
+Tensor GridDetector::build_cell_features(const world::Frame& frame) {
+  ANOLE_CHECK(cells_match_grid(frame),
+              "GridDetector::build_cell_features: frame cell tensor shape ",
+              shape_to_string(frame.cells.shape()), " does not match grid ",
+              frame.grid_size, "x", frame.grid_size);
+  const std::size_t g = frame.grid_size;
+  Tensor features =
+      Tensor::uninitialized(Shape{frame.cell_count(), kCellFeatures});
+  float* out = features.data().data();
+  const float* const cp = frame.cells.data().data();
+  for (std::size_t y = 0; y < g; ++y) {
+    for (std::size_t x = 0; x < g; ++x, out += kCellFeatures) {
+      const float* cell = cp + (y * g + x) * world::kCellChannels;
+      std::copy(cell, cell + world::kCellChannels, out);
+      neighborhood_means(cp, g, x, y, out + world::kCellChannels);
+    }
+  }
+  return features;
 }
 
 GridDetector::Targets GridDetector::build_targets(const world::Frame& frame) {

@@ -9,6 +9,7 @@
 // so across many scenes — the exact asymmetry Anole exploits.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "detect/detection.hpp"
 #include "nn/sequential.hpp"
 #include "util/rng.hpp"
+#include "world/featurizer.hpp"
 #include "world/frame.hpp"
 
 namespace anole::detect {
@@ -82,6 +84,36 @@ class GridDetector : public Detector {
 
   /// Builds the [cells, input_features] matrix for one frame.
   static Tensor build_inputs(const world::Frame& frame);
+
+  /// The per-cell input features that vary across a frame's cells: the
+  /// cell's channels, then the 3x3-neighborhood means of its object
+  /// block. An input row adds the frame's context and the cell's
+  /// coordinates to them (assemble_input_row).
+  static constexpr std::size_t kCellFeatures =
+      world::kCellChannels + world::kBlockChannels;
+
+  /// Builds the [cells, kCellFeatures] varying features of one frame,
+  /// the same values build_inputs writes into each row.
+  static Tensor build_cell_features(const world::Frame& frame);
+
+  /// Writes the input row of cell (x, y) on a g x g grid: its channels
+  /// (`cell`, kCellChannels floats), the frame's context
+  /// (world::kChannelMoments floats), the normalized coordinates and its
+  /// neighborhood means (`neighborhood`, kBlockChannels floats). The one
+  /// row layout behind build_inputs and training-batch assembly.
+  static void assemble_input_row(const float* cell, const float* neighborhood,
+                                 const float* context, std::size_t x,
+                                 std::size_t y, std::size_t g, float* row) {
+    constexpr std::size_t kCoords = world::kCellChannels +
+                                    world::kChannelMoments;
+    std::copy(cell, cell + world::kCellChannels, row);
+    std::copy(context, context + world::kChannelMoments,
+              row + world::kCellChannels);
+    row[kCoords] = static_cast<float>(x) / static_cast<float>(g);
+    row[kCoords + 1] = static_cast<float>(y) / static_cast<float>(g);
+    std::copy(neighborhood, neighborhood + world::kBlockChannels,
+              row + kCoords + 2);
+  }
 
   /// Per-cell training targets for one frame: objectness [cells, 1],
   /// box regression [cells, 4], and the positive-cell mask [cells, 4].

@@ -41,8 +41,7 @@ Tensor Linear::forward(Tensor input) {
   ANOLE_CHECK(input.rank() == 2 && input.cols() == in_features_,
               "Linear::forward: expected [batch, ", in_features_, "], got ",
               shape_to_string(input.shape()));
-  Tensor out = matmul(input, weight_.value);
-  add_row_broadcast(out, bias_.value);
+  Tensor out = matmul_bias(input, weight_.value, bias_.value);
   cached_input_ = std::move(input);
   return out;
 }
@@ -51,9 +50,7 @@ Tensor Linear::infer(const Tensor& input) const {
   ANOLE_CHECK(input.rank() == 2 && input.cols() == in_features_,
               "Linear::infer: expected [batch, ", in_features_, "], got ",
               shape_to_string(input.shape()));
-  Tensor out = matmul(input, weight_.value);
-  add_row_broadcast(out, bias_.value);
-  return out;
+  return matmul_bias(input, weight_.value, bias_.value);
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
@@ -80,40 +77,24 @@ std::uint64_t Linear::flops_per_sample() const {
 
 Tensor ReLU::forward(Tensor input) {
   last_width_ = input.rank() == 2 ? input.cols() : input.size();
-  // Single pass into an uninitialized output instead of copy-then-clamp:
-  // same values, one fewer sweep over the activation buffer.
-  Tensor out = Tensor::uninitialized(input.shape());
-  auto in = input.data();
-  auto o = out.data();
-  for (std::size_t i = 0; i < o.size(); ++i) {
-    o[i] = in[i] > 0.0f ? in[i] : 0.0f;
-  }
+  Tensor out = ReLU::infer(input);
   cached_input_ = std::move(input);
   return out;
 }
 
 Tensor ReLU::infer(const Tensor& input) const {
   Tensor out = Tensor::uninitialized(input.shape());
-  auto in = input.data();
-  auto o = out.data();
-  for (std::size_t i = 0; i < o.size(); ++i) {
-    o[i] = in[i] > 0.0f ? in[i] : 0.0f;
-  }
+  simd::relu_forward(simd::active_level(), input.data().data(), input.size(),
+                     out.data().data());
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
   check_elementwise_backward("ReLU", cached_input_, grad_output);
   Tensor grad = Tensor::uninitialized(grad_output.shape());
-  auto in = cached_input_.data();
-  auto go = grad_output.data();
-  auto g = grad.data();
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    // Loaded before the select, so the loop vectorizes (a conditional
-    // load would keep it scalar).
-    const float upstream = go[i];
-    g[i] = in[i] <= 0.0f ? 0.0f : upstream;
-  }
+  simd::relu_backward(simd::active_level(), cached_input_.data().data(),
+                      grad_output.data().data(), grad.size(),
+                      grad.data().data());
   return grad;
 }
 

@@ -1,8 +1,8 @@
 #include "nn/optimizer.hpp"
 
 #include <cmath>
-#include <limits>
 
+#include "tensor/simd.hpp"
 #include "util/check.hpp"
 
 namespace anole::nn {
@@ -14,14 +14,6 @@ void check_params(const std::vector<Parameter*>& params, const char* who) {
     ANOLE_CHECK(p->value.shape() == p->grad.shape(), who,
                 ": parameter value/grad shape mismatch");
   }
-}
-
-/// +0 for a subnormal (or zero) `x`, else `x`. Weight decay walks the
-/// weights of dead units down into the subnormal range, where arithmetic
-/// on x86 can take a microcode assist per op (DESIGN.md §13,
-/// "Subnormals in training").
-float flush_subnormal(float x) {
-  return std::fabs(x) < std::numeric_limits<float>::min() ? 0.0f : x;
 }
 
 }  // namespace
@@ -84,32 +76,22 @@ Adam::Adam(std::vector<Parameter*> params, double learning_rate, double beta1,
 
 void Adam::step() {
   ++step_count_;
-  const float lr = static_cast<float>(learning_rate_);
-  const float b1 = static_cast<float>(beta1_);
-  const float b2 = static_cast<float>(beta2_);
-  const float eps = static_cast<float>(epsilon_);
-  const float wd = static_cast<float>(weight_decay_);
-  const float bias1 =
-      1.0f - std::pow(b1, static_cast<float>(step_count_));
-  const float bias2 =
-      1.0f - std::pow(b2, static_cast<float>(step_count_));
+  simd::AdamStep adam;
+  adam.lr = static_cast<float>(learning_rate_);
+  adam.beta1 = static_cast<float>(beta1_);
+  adam.beta2 = static_cast<float>(beta2_);
+  adam.epsilon = static_cast<float>(epsilon_);
+  adam.weight_decay = static_cast<float>(weight_decay_);
+  adam.bias1 = 1.0f - std::pow(adam.beta1, static_cast<float>(step_count_));
+  adam.bias2 = 1.0f - std::pow(adam.beta2, static_cast<float>(step_count_));
+  const simd::Level level = simd::active_level();
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Parameter& p = *params_[i];
-    auto value = p.value.data();
-    auto grad = p.grad.data();
-    auto m = first_moment_[i].data();
-    auto v = second_moment_[i].data();
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      const float g = grad[j] + wd * value[j];
-      // The stored state never holds a subnormal; on normal values the
-      // flushes are no-ops and the update is the textbook one bit for bit.
-      m[j] = flush_subnormal(b1 * m[j] + (1.0f - b1) * g);
-      v[j] = flush_subnormal(b2 * v[j] + (1.0f - b2) * g * g);
-      const float m_hat = m[j] / bias1;
-      const float v_hat = v[j] / bias2;
-      value[j] = flush_subnormal(value[j] -
-                                 lr * m_hat / (std::sqrt(v_hat) + eps));
-    }
+    // The stored state never holds a subnormal; on normal values the
+    // flushes are no-ops and the update is the textbook one bit for bit.
+    simd::adam_update(level, adam, p.value.size(), p.value.data().data(),
+                      p.grad.data().data(), first_moment_[i].data().data(),
+                      second_moment_[i].data().data());
     p.zero_grad();
   }
 }

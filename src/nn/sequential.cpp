@@ -1,5 +1,6 @@
 #include "nn/sequential.hpp"
 
+#include <iterator>
 #include <utility>
 
 #include "util/check.hpp"
@@ -40,8 +41,11 @@ Tensor Sequential::infer(const Tensor& input) const {
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {
-  Tensor current = grad_output;
-  for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) {
+  // The last module reads `grad_output` directly: no copy of the batch's
+  // gradient before the first layer of the walk.
+  if (modules_.empty()) return grad_output;
+  Tensor current = modules_.back()->backward(grad_output);
+  for (auto it = std::next(modules_.rbegin()); it != modules_.rend(); ++it) {
     current = (*it)->backward(current);
   }
   return current;
@@ -49,8 +53,12 @@ Tensor Sequential::backward(const Tensor& grad_output) {
 
 void Sequential::accumulate_gradients(const Tensor& grad_output) {
   if (modules_.empty()) return;
-  Tensor current = grad_output;
-  for (std::size_t i = modules_.size() - 1; i > 0; --i) {
+  if (modules_.size() == 1) {
+    modules_.front()->accumulate_gradients(grad_output);
+    return;
+  }
+  Tensor current = modules_.back()->backward(grad_output);
+  for (std::size_t i = modules_.size() - 2; i > 0; --i) {
     current = modules_[i]->backward(current);
   }
   modules_.front()->accumulate_gradients(current);

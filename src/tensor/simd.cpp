@@ -108,7 +108,8 @@ Level env_level() {
 ANOLE_NO_AUTOVEC
 void gemm_rows_scalar(std::size_t ilo, std::size_t ihi, std::size_t k,
                       std::size_t n, const float* pa, std::size_t ars,
-                      std::size_t acs, const float* pb, float* pc) {
+                      std::size_t acs, const float* pb, const float* pbias,
+                      float* pc) {
   for (std::size_t jb = 0; jb < n; jb += kJBlock) {
     const std::size_t jhi = std::min(n, jb + kJBlock);
     for (std::size_t kb = 0; kb < k; kb += kKBlock) {
@@ -121,6 +122,9 @@ void gemm_rows_scalar(std::size_t ilo, std::size_t ihi, std::size_t k,
           if (aik == 0.0f) continue;
           const float* brow = pb + kk * n;
           for (std::size_t j = jb; j < jhi; ++j) crow[j] += aik * brow[j];
+        }
+        if (pbias != nullptr && khi == k) {
+          for (std::size_t j = jb; j < jhi; ++j) crow[j] += pbias[j];
         }
       }
     }
@@ -182,12 +186,13 @@ constexpr unsigned kMxcsrDefaultControl = 0x1F80;
 /// fused multiply-add (see gemm_rows_avx2_narrow_entry for when that is
 /// exact), and the kernel stops at the first row group whose run raised
 /// the underflow flag, returning its first row; it returns `ihi` when
-/// every row is done.
+/// every row is done. A non-null `pbias` is added to the accumulators
+/// just before they are stored.
 template <int kVecs, int kRows, bool kSkipZeros>
 ANOLE_TARGET_AVX2 std::size_t gemm_rows_avx2_narrow(
     std::size_t ilo, std::size_t ihi, std::size_t k, std::size_t n,
     const float* pa, std::size_t ars, std::size_t acs, const float* pb,
-    float* pc) {
+    const float* pbias, float* pc) {
   const __m256i last_mask = last_vector_mask(n);
   std::size_t i = ilo;
   for (; i + kRows <= ihi; i += kRows) {
@@ -213,6 +218,16 @@ ANOLE_TARGET_AVX2 std::size_t gemm_rows_avx2_narrow(
         }
       }
     }
+    if (pbias != nullptr) {
+      for (int r = 0; r < kRows; ++r) {
+        for (int v = 0; v + 1 < kVecs; ++v) {
+          acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_loadu_ps(pbias + 8 * v));
+        }
+        acc[r][kVecs - 1] = _mm256_add_ps(
+            acc[r][kVecs - 1],
+            _mm256_maskload_ps(pbias + 8 * (kVecs - 1), last_mask));
+      }
+    }
     for (int r = 0; r < kRows; ++r) {
       float* crow = pc + (i + r) * n;
       for (int v = 0; v + 1 < kVecs; ++v) {
@@ -226,7 +241,7 @@ ANOLE_TARGET_AVX2 std::size_t gemm_rows_avx2_narrow(
   }
   if constexpr (kRows > 1) {
     return gemm_rows_avx2_narrow<kVecs, 1, kSkipZeros>(i, ihi, k, n, pa, ars,
-                                                       acs, pb, pc);
+                                                       acs, pb, pbias, pc);
   }
   return ihi;
 }
@@ -268,28 +283,29 @@ template <int kVecs, int kRows>
 ANOLE_TARGET_AVX2 void gemm_rows_avx2_narrow_entry(
     std::size_t ilo, std::size_t ihi, std::size_t k, std::size_t n,
     const float* pa, std::size_t ars, std::size_t acs, const float* pb,
-    float* pc) {
+    const float* pbias, float* pc) {
   std::size_t done = ilo;
   if (ihi - ilo > static_cast<std::size_t>(kRows)) {
     const unsigned csr = _mm_getcsr();
     if ((csr & kMxcsrControl) == kMxcsrDefaultControl &&
         all_finite(pb, k * n)) {
       _mm_setcsr(csr & ~kMxcsrUnderflow);
-      done = gemm_rows_avx2_narrow<kVecs, kRows, false>(ilo, ihi, k, n, pa,
-                                                        ars, acs, pb, pc);
+      done = gemm_rows_avx2_narrow<kVecs, kRows, false>(
+          ilo, ihi, k, n, pa, ars, acs, pb, pbias, pc);
       _mm_setcsr(_mm_getcsr() | (csr & kMxcsrUnderflow));
     }
   }
   if (done < ihi) {
     gemm_rows_avx2_narrow<kVecs, kRows, true>(done, ihi, k, n, pa, ars, acs,
-                                              pb, pc);
+                                              pb, pbias, pc);
   }
 }
 
 ANOLE_TARGET_AVX2
 void gemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t k,
                     std::size_t n, const float* pa, std::size_t ars,
-                    std::size_t acs, const float* pb, float* pc) {
+                    std::size_t acs, const float* pb, const float* pbias,
+                    float* pc) {
   const UpperStateGuard clean_exit;
   if (n > 0 && n <= 64) {
     // Row-group widths keep every live accumulator (kRows * kVecs), the
@@ -298,35 +314,35 @@ void gemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t k,
     switch ((n + 7) / 8) {
       case 1:
         gemm_rows_avx2_narrow_entry<1, 8>(ilo, ihi, k, n, pa, ars, acs,
-                                          pb, pc);
+                                          pb, pbias, pc);
         return;
       case 2:
         gemm_rows_avx2_narrow_entry<2, 6>(ilo, ihi, k, n, pa, ars, acs,
-                                          pb, pc);
+                                          pb, pbias, pc);
         return;
       case 3:
         gemm_rows_avx2_narrow_entry<3, 3>(ilo, ihi, k, n, pa, ars, acs,
-                                          pb, pc);
+                                          pb, pbias, pc);
         return;
       case 4:
         gemm_rows_avx2_narrow_entry<4, 2>(ilo, ihi, k, n, pa, ars, acs,
-                                          pb, pc);
+                                          pb, pbias, pc);
         return;
       case 5:
         gemm_rows_avx2_narrow_entry<5, 1>(ilo, ihi, k, n, pa, ars, acs,
-                                          pb, pc);
+                                          pb, pbias, pc);
         return;
       case 6:
         gemm_rows_avx2_narrow_entry<6, 1>(ilo, ihi, k, n, pa, ars, acs,
-                                          pb, pc);
+                                          pb, pbias, pc);
         return;
       case 7:
         gemm_rows_avx2_narrow_entry<7, 1>(ilo, ihi, k, n, pa, ars, acs,
-                                          pb, pc);
+                                          pb, pbias, pc);
         return;
       default:
         gemm_rows_avx2_narrow_entry<8, 1>(ilo, ihi, k, n, pa, ars, acs,
-                                          pb, pc);
+                                          pb, pbias, pc);
         return;
     }
   }
@@ -361,6 +377,18 @@ void gemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t k,
                 crow + jvec, tail_mask,
                 _mm256_fmadd_ps(va, _mm256_maskload_ps(brow + jvec, tail_mask),
                                 _mm256_maskload_ps(crow + jvec, tail_mask)));
+          }
+        }
+        if (pbias != nullptr && khi == k) {
+          for (std::size_t j = jb; j + 8 <= jhi; j += 8) {
+            _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j),
+                                                     _mm256_loadu_ps(pbias + j)));
+          }
+          if (tail != 0) {
+            _mm256_maskstore_ps(
+                crow + jvec, tail_mask,
+                _mm256_add_ps(_mm256_maskload_ps(crow + jvec, tail_mask),
+                              _mm256_maskload_ps(pbias + jvec, tail_mask)));
           }
         }
       }
@@ -686,6 +714,202 @@ void sigmoid_terms_avx2(const float* z, std::size_t n, float* p,
 }
 #endif  // ANOLE_HAVE_AVX2_TARGET
 
+/// --- training-step elementwise kernels ------------------------------
+/// The scalar loops are the reference; each AVX2 lane runs the same IEEE
+/// operations in the same order, with no FMA (contraction is turned off
+/// where a product meets an add), so both levels agree bit for bit.
+
+ANOLE_NO_AUTOVEC
+void column_sums_scalar(const float* x, std::size_t rows, std::size_t cols,
+                        float* sums) {
+  std::fill(sums, sums + cols, 0.0f);
+  const float* row = x;
+  for (std::size_t r = 0; r < rows; ++r, row += cols) {
+    for (std::size_t c = 0; c < cols; ++c) sums[c] += row[c];
+  }
+}
+
+ANOLE_NO_AUTOVEC
+void relu_forward_scalar(const float* x, std::size_t n, float* y) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+
+ANOLE_NO_AUTOVEC
+void relu_backward_scalar(const float* x, const float* upstream,
+                          std::size_t n, float* grad) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float g = upstream[i];
+    grad[i] = x[i] <= 0.0f ? 0.0f : g;
+  }
+}
+
+/// +0 for a subnormal (or zero) `x`, else `x`. Weight decay walks the
+/// weights of dead units down into the subnormal range, where arithmetic
+/// on x86 can take a microcode assist per op (DESIGN.md §13,
+/// "Subnormals in training").
+float flush_subnormal(float x) {
+  return std::fabs(x) < std::numeric_limits<float>::min() ? 0.0f : x;
+}
+
+ANOLE_NO_AUTOVEC
+void adam_update_scalar(const AdamStep& step, std::size_t n, float* value,
+                        const float* grad, float* m, float* v) {
+  const float lr = step.lr;
+  const float b1 = step.beta1;
+  const float b2 = step.beta2;
+  const float eps = step.epsilon;
+  const float wd = step.weight_decay;
+  for (std::size_t j = 0; j < n; ++j) {
+    const float g = grad[j] + wd * value[j];
+    // The stored state never holds a subnormal; on normal values the
+    // flushes are no-ops and the update is the textbook one bit for bit.
+    m[j] = flush_subnormal(b1 * m[j] + (1.0f - b1) * g);
+    v[j] = flush_subnormal(b2 * v[j] + (1.0f - b2) * g * g);
+    const float m_hat = m[j] / step.bias1;
+    const float v_hat = v[j] / step.bias2;
+    value[j] = flush_subnormal(value[j] -
+                               lr * m_hat / (std::sqrt(v_hat) + eps));
+  }
+}
+
+#if ANOLE_HAVE_AVX2_TARGET
+/// Sums of one panel of `kVecs` vectors (up to kVecs * 8 columns, the
+/// last vector masked to `width`), held in registers across every row.
+template <int kVecs>
+ANOLE_TARGET_AVX2 void column_sums_panel(const float* x, std::size_t rows,
+                                         std::size_t cols, std::size_t width,
+                                         float* sums) {
+  const __m256i last_mask = last_vector_mask(width);
+  __m256 acc[kVecs];
+  for (int v = 0; v < kVecs; ++v) acc[v] = _mm256_setzero_ps();
+  const float* row = x;
+  for (std::size_t r = 0; r < rows; ++r, row += cols) {
+    for (int v = 0; v + 1 < kVecs; ++v) {
+      acc[v] = _mm256_add_ps(acc[v], _mm256_loadu_ps(row + 8 * v));
+    }
+    acc[kVecs - 1] = _mm256_add_ps(
+        acc[kVecs - 1], _mm256_maskload_ps(row + 8 * (kVecs - 1), last_mask));
+  }
+  for (int v = 0; v + 1 < kVecs; ++v) _mm256_storeu_ps(sums + 8 * v, acc[v]);
+  _mm256_maskstore_ps(sums + 8 * (kVecs - 1), last_mask, acc[kVecs - 1]);
+}
+
+ANOLE_TARGET_AVX2
+void column_sums_avx2(const float* x, std::size_t rows, std::size_t cols,
+                      float* sums) {
+  const UpperStateGuard clean_exit;
+  // 32-column panels: a row's add chain per column stays in a register
+  // instead of a store-to-load round trip per row.
+  constexpr std::size_t kPanel = 32;
+  for (std::size_t c0 = 0; c0 < cols; c0 += kPanel) {
+    const std::size_t width = std::min(kPanel, cols - c0);
+    switch ((width + 7) / 8) {
+      case 1:
+        column_sums_panel<1>(x + c0, rows, cols, width, sums + c0);
+        break;
+      case 2:
+        column_sums_panel<2>(x + c0, rows, cols, width, sums + c0);
+        break;
+      case 3:
+        column_sums_panel<3>(x + c0, rows, cols, width, sums + c0);
+        break;
+      default:
+        column_sums_panel<4>(x + c0, rows, cols, width, sums + c0);
+        break;
+    }
+  }
+}
+
+ANOLE_TARGET_AVX2
+void relu_forward_avx2(const float* x, std::size_t n, float* y) {
+  const UpperStateGuard clean_exit;
+  // maxps returns its second operand when either is NaN or both are
+  // zero, so max(x, +0) is the ternary's +0 for NaN and -0.
+  const __m256 zero = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, _mm256_max_ps(_mm256_loadu_ps(x + i), zero));
+  }
+  if (i < n) {
+    const __m256i mask = last_vector_mask(n);
+    _mm256_maskstore_ps(y + i, mask,
+                        _mm256_max_ps(_mm256_maskload_ps(x + i, mask), zero));
+  }
+}
+
+ANOLE_TARGET_AVX2
+void relu_backward_avx2(const float* x, const float* upstream, std::size_t n,
+                        float* grad) {
+  const UpperStateGuard clean_exit;
+  // !(x <= 0), true for NaN: the lanes that pass the upstream gradient.
+  const __m256 zero = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 pass =
+        _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero, _CMP_NLE_UQ);
+    _mm256_storeu_ps(grad + i,
+                     _mm256_and_ps(pass, _mm256_loadu_ps(upstream + i)));
+  }
+  if (i < n) {
+    const __m256i mask = last_vector_mask(n);
+    const __m256 pass =
+        _mm256_cmp_ps(_mm256_maskload_ps(x + i, mask), zero, _CMP_NLE_UQ);
+    _mm256_maskstore_ps(
+        grad + i, mask,
+        _mm256_and_ps(pass, _mm256_maskload_ps(upstream + i, mask)));
+  }
+}
+
+/// flush_subnormal on eight lanes: |x| < FLT_MIN is false for NaN.
+ANOLE_TARGET_AVX2 inline __m256 flush_subnormal_lanes(__m256 x) {
+  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+  const __m256 tiny = _mm256_cmp_ps(
+      _mm256_and_ps(x, abs_mask),
+      _mm256_set1_ps(std::numeric_limits<float>::min()), _CMP_LT_OQ);
+  return _mm256_andnot_ps(tiny, x);
+}
+
+// Contraction off: b1 * m + (1 - b1) * g must round the product and the
+// sum separately, as the scalar loop does.
+ANOLE_TARGET_AVX2 __attribute__((optimize("fp-contract=off")))
+void adam_update_avx2(const AdamStep& step, std::size_t n, float* value,
+                      const float* grad, float* m, float* v) {
+  const UpperStateGuard clean_exit;
+  const __m256 lr = _mm256_set1_ps(step.lr);
+  const __m256 b1 = _mm256_set1_ps(step.beta1);
+  const __m256 b2 = _mm256_set1_ps(step.beta2);
+  const __m256 one_minus_b1 = _mm256_set1_ps(1.0f - step.beta1);
+  const __m256 one_minus_b2 = _mm256_set1_ps(1.0f - step.beta2);
+  const __m256 eps = _mm256_set1_ps(step.epsilon);
+  const __m256 wd = _mm256_set1_ps(step.weight_decay);
+  const __m256 bias1 = _mm256_set1_ps(step.bias1);
+  const __m256 bias2 = _mm256_set1_ps(step.bias2);
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 w = _mm256_loadu_ps(value + j);
+    const __m256 g =
+        _mm256_add_ps(_mm256_loadu_ps(grad + j), _mm256_mul_ps(wd, w));
+    const __m256 mj = flush_subnormal_lanes(_mm256_add_ps(
+        _mm256_mul_ps(b1, _mm256_loadu_ps(m + j)),
+        _mm256_mul_ps(one_minus_b1, g)));
+    const __m256 vj = flush_subnormal_lanes(_mm256_add_ps(
+        _mm256_mul_ps(b2, _mm256_loadu_ps(v + j)),
+        _mm256_mul_ps(_mm256_mul_ps(one_minus_b2, g), g)));
+    _mm256_storeu_ps(m + j, mj);
+    _mm256_storeu_ps(v + j, vj);
+    const __m256 m_hat = _mm256_div_ps(mj, bias1);
+    const __m256 v_hat = _mm256_div_ps(vj, bias2);
+    const __m256 update =
+        _mm256_div_ps(_mm256_mul_ps(lr, m_hat),
+                      _mm256_add_ps(_mm256_sqrt_ps(v_hat), eps));
+    _mm256_storeu_ps(value + j, flush_subnormal_lanes(_mm256_sub_ps(w, update)));
+  }
+  // The last n % 8 parameters run the scalar loop: the same operations,
+  // so the same bits.
+  adam_update_scalar(step, n - j, value + j, grad + j, m + j, v + j);
+}
+#endif  // ANOLE_HAVE_AVX2_TARGET
+
 /// --- k-means distance kernels ---------------------------------------
 /// Lanes map to centroids; each lane accumulates in ascending dimension
 /// order with separate multiply and add, so every level produces bitwise
@@ -770,17 +994,19 @@ const char* level_name(Level level) {
 
 void gemm_rows(Level level, std::size_t ilo, std::size_t ihi, std::size_t k,
                std::size_t n, const float* pa, std::size_t a_row_stride,
-               std::size_t a_col_stride, const float* pb, float* pc) {
+               std::size_t a_col_stride, const float* pb, const float* pbias,
+               float* pc) {
   ANOLE_DCHECK(ilo <= ihi, "gemm_rows: ilo ", ilo, " > ihi ", ihi);
   switch (level) {
 #if ANOLE_HAVE_AVX2_TARGET
     case Level::kAVX2:
-      gemm_rows_avx2(ilo, ihi, k, n, pa, a_row_stride, a_col_stride, pb, pc);
+      gemm_rows_avx2(ilo, ihi, k, n, pa, a_row_stride, a_col_stride, pb,
+                     pbias, pc);
       return;
 #endif
     default:
       gemm_rows_scalar(ilo, ihi, k, n, pa, a_row_stride, a_col_stride, pb,
-                       pc);
+                       pbias, pc);
       return;
   }
 }
@@ -846,6 +1072,71 @@ void sigmoid_terms(Level level, const float* z, std::size_t n, float* p,
 #endif
     default:
       sigmoid_terms_scalar(z, n, p, log_term);
+      return;
+  }
+}
+
+void column_sums(Level level, const float* x, std::size_t rows,
+                 std::size_t cols, float* sums) {
+  ANOLE_DCHECK(cols == 0 || (sums != nullptr && (rows == 0 || x != nullptr)),
+               "column_sums: null input/output for ", rows, "x", cols);
+  switch (level) {
+#if ANOLE_HAVE_AVX2_TARGET
+    case Level::kAVX2:
+      column_sums_avx2(x, rows, cols, sums);
+      return;
+#endif
+    default:
+      column_sums_scalar(x, rows, cols, sums);
+      return;
+  }
+}
+
+void relu_forward(Level level, const float* x, std::size_t n, float* y) {
+  ANOLE_DCHECK(n == 0 || (x != nullptr && y != nullptr),
+               "relu_forward: null input/output for n ", n);
+  switch (level) {
+#if ANOLE_HAVE_AVX2_TARGET
+    case Level::kAVX2:
+      relu_forward_avx2(x, n, y);
+      return;
+#endif
+    default:
+      relu_forward_scalar(x, n, y);
+      return;
+  }
+}
+
+void relu_backward(Level level, const float* x, const float* upstream,
+                   std::size_t n, float* grad) {
+  ANOLE_DCHECK(n == 0 || (x != nullptr && upstream != nullptr &&
+                          grad != nullptr),
+               "relu_backward: null input/output for n ", n);
+  switch (level) {
+#if ANOLE_HAVE_AVX2_TARGET
+    case Level::kAVX2:
+      relu_backward_avx2(x, upstream, n, grad);
+      return;
+#endif
+    default:
+      relu_backward_scalar(x, upstream, n, grad);
+      return;
+  }
+}
+
+void adam_update(Level level, const AdamStep& step, std::size_t n,
+                 float* value, const float* grad, float* m, float* v) {
+  ANOLE_DCHECK(n == 0 || (value != nullptr && grad != nullptr &&
+                          m != nullptr && v != nullptr),
+               "adam_update: null parameter or state for n ", n);
+  switch (level) {
+#if ANOLE_HAVE_AVX2_TARGET
+    case Level::kAVX2:
+      adam_update_avx2(step, n, value, grad, m, v);
+      return;
+#endif
+    default:
+      adam_update_scalar(step, n, value, grad, m, v);
       return;
   }
 }

@@ -19,6 +19,11 @@
 //   - k-means distances are bitwise identical at both levels (lanes map
 //     to centroids; each lane's accumulation order matches the scalar
 //     loop and no FMA is used).
+//   - the training step's elementwise kernels (column_sums,
+//     relu_forward/relu_backward, adam_update) are bitwise identical at
+//     both levels: each lane runs the scalar loop's IEEE operations in
+//     its order, with no FMA, and the selects reproduce the scalar
+//     ternaries on NaN and -0.
 //   - sigmoid/BCE transcendentals: kScalar calls libm; kAVX2 uses a
 //     documented polynomial exp/log1p pair accurate to a few ULP (see
 //     sigmoid_terms below).
@@ -73,9 +78,50 @@ const char* level_name(Level level);
 /// every bit as the skip would: all of B finite, the default MXCSR
 /// control bits, and no underflow in the rows run that way (they clear
 /// the thread's sticky underflow flag to watch for it, then restore it).
+/// When `pbias` is non-null, pbias[j] is added to every output element of
+/// column j after its last accumulation step: one rounding, the same bits
+/// as a separate bias pass over C.
 void gemm_rows(Level level, std::size_t ilo, std::size_t ihi, std::size_t k,
                std::size_t n, const float* pa, std::size_t a_row_stride,
-               std::size_t a_col_stride, const float* pb, float* pc);
+               std::size_t a_col_stride, const float* pb, const float* pbias,
+               float* pc);
+
+/// --- training-step elementwise kernels ------------------------------
+/// Bitwise identical at both levels (see the contract above).
+
+/// sums[c] = the sum of x[r * cols + c] over r: each column added from +0
+/// in ascending row order, one rounding per add.
+void column_sums(Level level, const float* x, std::size_t rows,
+                 std::size_t cols, float* sums);
+
+/// y[i] = x[i] > 0 ? x[i] : 0, so NaN and -0 give +0.
+void relu_forward(Level level, const float* x, std::size_t n, float* y);
+
+/// grad[i] = x[i] <= 0 ? 0 : upstream[i], so a NaN input passes the
+/// upstream gradient through. `grad` may alias `upstream`.
+void relu_backward(Level level, const float* x, const float* upstream,
+                   std::size_t n, float* grad);
+
+/// One Adam step's per-tensor constants: learning rate, moment decays,
+/// epsilon, L2 weight decay and the two bias corrections 1 - beta^t.
+struct AdamStep {
+  float lr = 0.0f;
+  float beta1 = 0.0f;
+  float beta2 = 0.0f;
+  float epsilon = 0.0f;
+  float weight_decay = 0.0f;
+  float bias1 = 1.0f;
+  float bias2 = 1.0f;
+};
+
+/// Adam with bias correction over n parameters, in place:
+///   g = grad + wd * value
+///   m = flush(b1 * m + (1 - b1) * g),  v = flush(b2 * v + (1 - b2) * g * g)
+///   value = flush(value - lr * (m / bias1) / (sqrt(v / bias2) + eps))
+/// where flush(x) is +0 when |x| < FLT_MIN (a subnormal or zero) and x
+/// otherwise, NaN included.
+void adam_update(Level level, const AdamStep& step, std::size_t n,
+                 float* value, const float* grad, float* m, float* v);
 
 /// --- int8 GEMM kernels ----------------------------------------------
 

@@ -34,16 +34,23 @@ constexpr std::size_t kReduceBlock = 4096;
 // uses the contiguous strides). The cache-blocked kernel lives in
 // tensor/simd.cpp and is dispatched once per call; it produces each C row
 // with kk ascending, so its blocking never changes results at a fixed
-// dispatch level.
+// dispatch level. A non-null `pbias` is added in the kernel's final store.
 void dispatched_gemm(std::size_t m, std::size_t k, std::size_t n,
                      const float* pa, std::size_t ars, std::size_t acs,
-                     const float* pb, float* pc) {
+                     const float* pb, float* pc,
+                     const float* pbias = nullptr) {
   if (k == 0) {
-    // The kernel's depth loop never runs, so zero-fill here.
-    std::fill(pc, pc + m * n, 0.0f);
+    // The kernel's depth loop never runs, so fill here: the empty sum +0,
+    // plus the bias as the kernel would add it.
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        pc[i * n + j] = pbias == nullptr ? 0.0f : 0.0f + pbias[j];
+      }
+    }
     return;
   }
-  simd::gemm_rows(simd::active_level(), 0, m, k, n, pa, ars, acs, pb, pc);
+  simd::gemm_rows(simd::active_level(), 0, m, k, n, pa, ars, acs, pb, pbias,
+                  pc);
 }
 
 }  // namespace
@@ -237,6 +244,23 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+Tensor matmul_bias(const Tensor& a, const Tensor& b, const Tensor& bias) {
+  ANOLE_CHECK(a.rank() == 2 && b.rank() == 2, "matmul_bias: rank != 2");
+  ANOLE_CHECK_EQ(a.cols(), b.rows(), "matmul_bias: inner dimension mismatch ",
+                 shape_to_string(a.shape()), " x ",
+                 shape_to_string(b.shape()));
+  ANOLE_CHECK(bias.rank() == 1 && bias.size() == b.cols(),
+              "matmul_bias: bias shape ", shape_to_string(bias.shape()),
+              " does not match ", b.cols(), " output columns");
+  const std::size_t m = a.rows();
+  const std::size_t k = a.cols();
+  const std::size_t n = b.cols();
+  Tensor c = Tensor::uninitialized(Shape{m, n});
+  dispatched_gemm(m, k, n, a.data().data(), k, 1, b.data().data(),
+                  c.data().data(), bias.data().data());
+  return c;
+}
+
 Tensor matmul_transpose_a(const Tensor& a, const Tensor& b) {
   ANOLE_CHECK(a.rank() == 2 && b.rank() == 2,
               "matmul_transpose_a: rank != 2");
@@ -296,30 +320,11 @@ Tensor operator*(Tensor a, float scalar) {
   return a;
 }
 
-void add_row_broadcast(Tensor& matrix, const Tensor& row_vector) {
-  ANOLE_CHECK_EQ(matrix.rank(), 2u, "add_row_broadcast: matrix rank != 2");
-  ANOLE_CHECK(row_vector.rank() == 1 && row_vector.size() == matrix.cols(),
-              "add_row_broadcast: bias shape mismatch ",
-              shape_to_string(row_vector.shape()), " for matrix ",
-              shape_to_string(matrix.shape()));
-  // The checks above cover every row: walk raw pointers from here.
-  const std::size_t cols = matrix.cols();
-  float* row = matrix.data().data();
-  const float* bias = row_vector.data().data();
-  for (std::size_t r = 0; r < matrix.rows(); ++r, row += cols) {
-    for (std::size_t c = 0; c < cols; ++c) row[c] += bias[c];
-  }
-}
-
 Tensor sum_rows(const Tensor& matrix) {
   ANOLE_CHECK_EQ(matrix.rank(), 2u, "sum_rows: rank != 2");
-  const std::size_t cols = matrix.cols();
-  Tensor out(Shape{cols});
-  float* sums = out.data().data();
-  const float* row = matrix.data().data();
-  for (std::size_t r = 0; r < matrix.rows(); ++r, row += cols) {
-    for (std::size_t c = 0; c < cols; ++c) sums[c] += row[c];
-  }
+  Tensor out = Tensor::uninitialized(Shape{matrix.cols()});
+  simd::column_sums(simd::active_level(), matrix.data().data(), matrix.rows(),
+                    matrix.cols(), out.data().data());
   return out;
 }
 

@@ -1,7 +1,7 @@
 // Dense row-major float tensor. This is the numerical substrate for the
 // neural-network library (src/nn): it provides exactly the operations the
 // training stack needs (matmul, transposed matmuls, elementwise arithmetic,
-// row reductions) with shape checking on every operation.
+// column sums) with shape checking on every operation.
 //
 // Threading: every operation runs on its calling thread (kernels never
 // use the util/parallel.hpp pool; callers fan out over whole tasks), so
@@ -167,6 +167,11 @@ class Tensor {
 /// C = A * B for rank-2 tensors, [m,k] x [k,n] -> [m,n].
 Tensor matmul(const Tensor& a, const Tensor& b);
 
+/// C = A * B + bias, [m,k] x [k,n] + [n] -> [m,n], the bias added to
+/// every row. It is added in the GEMM's final store: one rounding, the
+/// same bits as adding it in a separate pass over C.
+Tensor matmul_bias(const Tensor& a, const Tensor& b, const Tensor& bias);
+
 /// C = A^T * B, [k,m] x [k,n] -> [m,n]. Used for weight gradients.
 Tensor matmul_transpose_a(const Tensor& a, const Tensor& b);
 
@@ -179,10 +184,8 @@ Tensor operator-(Tensor a, const Tensor& b);
 Tensor operator*(Tensor a, const Tensor& b);
 Tensor operator*(Tensor a, float scalar);
 
-/// Adds a [cols]-shaped bias to every row of a [rows, cols] tensor.
-void add_row_broadcast(Tensor& matrix, const Tensor& row_vector);
-
-/// Sums the rows of a [rows, cols] tensor into a [cols] tensor.
+/// Sums the rows of a [rows, cols] tensor into a [cols] tensor: each
+/// column from +0 in ascending row order (simd::column_sums).
 Tensor sum_rows(const Tensor& matrix);
 
 /// Transposes a rank-2 tensor.

@@ -6,11 +6,17 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/artifact.hpp"
 #include "core/profiler.hpp"
 #include "eval/f1_series.hpp"
 #include "nn/loss.hpp"
 #include "util/log.hpp"
+#include "util/parallel.hpp"
 
 namespace anole::core {
 namespace {
@@ -265,6 +271,42 @@ TEST_F(PipelineTest, EngineRejectsEmptySystem) {
 TEST_F(PipelineTest, ReportIsPopulated) {
   EXPECT_EQ(report_->models_trained, system_->repository.size());
   EXPECT_GT(report_->decision_samples, 0u);
+}
+
+/// Algorithm 1 with candidates rejected before the repository fills, so
+/// the walk skips some and later candidates are dropped mid-training once
+/// the finished ones before them already accept n models. Which
+/// candidates get dropped, and when, depends on the thread count; the
+/// saved artifact must not.
+TEST(Repository, RejectionsAndDroppedCandidatesKeepArtifactsIdentical) {
+  set_log_level(LogLevel::kError);
+  const world::World world = world::make_benchmark_world(tiny_world_config());
+  const auto profile = [&](double threshold, std::size_t threads) {
+    par::set_thread_count(threads);
+    ProfilerConfig config = tiny_profiler_config();
+    config.repository.target_models = 3;
+    config.repository.acceptance_threshold = threshold;
+    Rng rng(7);
+    AnoleSystem system = OfflineProfiler(config).run(world, rng);
+    par::set_thread_count(0);
+    std::vector<std::string> names;
+    for (std::size_t m = 0; m < system.repository.size(); ++m) {
+      names.push_back(system.repository.model(m).name);
+    }
+    std::ostringstream out;
+    save_system(system, out);
+    return std::make_pair(names, out.str());
+  };
+  const auto raised = profile(0.4, 1);
+  ASSERT_EQ(raised.first.size(), 3u);
+  // Some candidate accepted at threshold 0 is rejected at 0.4.
+  EXPECT_NE(profile(0.0, 4).first, raised.first);
+  for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const auto run = profile(0.4, threads);
+    EXPECT_EQ(run.first, raised.first);
+    EXPECT_TRUE(run.second == raised.second) << "artifact bytes differ";
+  }
 }
 
 TEST(Profiler, ThrowsOnEmptyWorld) {

@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -369,15 +371,13 @@ LossCase real_batch(std::uint64_t seed) {
                      world::TimeOfDay::kDawnDusk};
   spec.length = 8;
   const auto clip = generator.generate(spec, rng);
-  std::vector<Tensor> inputs;
-  std::vector<GridDetector::Targets> targets;
+  std::vector<CompactFrame> frames;
   for (const world::Frame& frame : clip.frames) {
-    inputs.push_back(GridDetector::build_inputs(frame));
-    targets.push_back(GridDetector::build_targets(frame));
+    frames.push_back(compact_frame(frame));
   }
-  std::vector<std::size_t> order(inputs.size());
+  std::vector<std::size_t> order(frames.size());
   std::iota(order.begin(), order.end(), 0);
-  DetectorBatch batch = stack_batch(inputs, targets, order);
+  DetectorBatch batch = stack_batch(frames, order);
   GridDetector detector(GridDetectorConfig::compressed(), rng);
   LossCase out;
   out.outputs = detector.network().forward(std::move(batch.inputs));
@@ -485,6 +485,125 @@ TEST(DetectorTraining, RejectsNonPositivePositiveWeight) {
   config.positive_weight = -1.0;
   EXPECT_THROW((void)train_detector(detector, {}, config, rng),
                std::invalid_argument);
+}
+
+/// Training-batch rows assembled from the compact frame cache are the rows
+/// build_inputs writes, bit for bit, in batch order and across two grid
+/// sizes; the targets are build_targets' rows.
+TEST(DetectorBatch, CompactAssemblyMatchesBuildInputsBitForBit) {
+  Rng rng(8);
+  world::ClipGenerator generator;
+  world::ClipSpec spec;
+  spec.attributes = {world::Weather::kFoggy, world::Location::kUrban,
+                     world::TimeOfDay::kNight};
+  spec.length = 4;
+  const auto clip = generator.generate(spec, rng);
+  std::vector<world::Frame> frames(clip.frames.begin(), clip.frames.end());
+  world::FrameGenerator small_grid(7);
+  const world::SceneAttributes attrs{world::Weather::kRainy,
+                                     world::Location::kHighway,
+                                     world::TimeOfDay::kDaytime};
+  const auto style = world::SceneStyle::from_attributes(attrs);
+  std::vector<world::ObjectInstance> objects;
+  for (int i = 0; i < 3; ++i) {
+    objects.push_back(small_grid.sample_object(style, rng));
+  }
+  frames.push_back(small_grid.render(style, attrs, objects, rng));
+  ASSERT_NE(frames.back().grid_size, frames.front().grid_size);
+
+  std::vector<CompactFrame> cache;
+  for (const world::Frame& frame : frames) {
+    cache.push_back(compact_frame(frame));
+  }
+  const std::vector<std::size_t> order = {2, 4, 0, 3, 1};
+  const DetectorBatch batch = stack_batch(cache, order);
+  std::vector<float> inputs;
+  std::vector<float> objectness;
+  std::vector<float> boxes;
+  std::vector<float> box_mask;
+  const auto append = [](std::vector<float>& to, const Tensor& t) {
+    to.insert(to.end(), t.data().begin(), t.data().end());
+  };
+  for (std::size_t f : order) {
+    append(inputs, GridDetector::build_inputs(frames[f]));
+    const GridDetector::Targets targets =
+        GridDetector::build_targets(frames[f]);
+    append(objectness, targets.objectness);
+    append(boxes, targets.boxes);
+    append(box_mask, targets.box_mask);
+  }
+  const auto same_bits = [](const Tensor& t, const std::vector<float>& want) {
+    return t.size() == want.size() &&
+           std::memcmp(t.data().data(), want.data(),
+                       want.size() * sizeof(float)) == 0;
+  };
+  EXPECT_EQ(batch.inputs.cols(), GridDetector::input_features());
+  EXPECT_TRUE(same_bits(batch.inputs, inputs));
+  EXPECT_TRUE(same_bits(batch.targets.objectness, objectness));
+  EXPECT_TRUE(same_bits(batch.targets.boxes, boxes));
+  EXPECT_TRUE(same_bits(batch.targets.box_mask, box_mask));
+
+  const std::vector<std::size_t> out_of_range = {5};
+  EXPECT_THROW((void)stack_batch(cache, out_of_range), std::invalid_argument);
+}
+
+/// A stop predicate that fires after k epochs leaves k epoch losses and
+/// the weights a k-epoch run leaves; one that never fires changes nothing.
+TEST(DetectorTraining, StopPredicateEndsAtAnEpochBoundary) {
+  Rng clip_rng(9);
+  world::ClipGenerator generator;
+  world::ClipSpec spec;
+  spec.attributes = {world::Weather::kClear, world::Location::kUrban,
+                     world::TimeOfDay::kDaytime};
+  spec.length = 24;
+  const auto clip = generator.generate(spec, clip_rng);
+  std::vector<const world::Frame*> frames;
+  for (const world::Frame& frame : clip.frames) frames.push_back(&frame);
+
+  const auto weights = [](GridDetector& detector) {
+    std::vector<float> all;
+    for (nn::Parameter* p : detector.network().parameters()) {
+      all.insert(all.end(), p->value.data().begin(), p->value.data().end());
+    }
+    return all;
+  };
+  const auto train = [&](std::size_t epochs,
+                         const std::function<bool()>& stop,
+                         std::vector<float>& trained) {
+    Rng rng(10);
+    GridDetector detector(GridDetectorConfig::compressed(), rng);
+    DetectorTrainConfig config;
+    config.epochs = epochs;
+    const DetectorTrainResult result =
+        train_detector(detector, frames, config, rng, stop);
+    trained = weights(detector);
+    return result;
+  };
+
+  std::vector<float> full_weights;
+  const DetectorTrainResult full = train(5, {}, full_weights);
+  EXPECT_EQ(full.epoch_losses.size(), 5u);
+  EXPECT_FALSE(full.stopped);
+  std::vector<float> never_weights;
+  const DetectorTrainResult never =
+      train(5, [] { return false; }, never_weights);
+  EXPECT_EQ(never.epoch_losses, full.epoch_losses);
+  EXPECT_EQ(never_weights, full_weights);
+
+  for (std::size_t k : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("stop after " + std::to_string(k) + " epochs");
+    std::size_t calls = 0;
+    std::vector<float> stopped_weights;
+    const DetectorTrainResult stopped =
+        train(5, [&] { return calls++ >= k; }, stopped_weights);
+    EXPECT_EQ(stopped.epoch_losses.size(), k);
+    EXPECT_TRUE(stopped.stopped);
+    EXPECT_EQ(calls, k + 1);
+    std::vector<float> short_weights;
+    const DetectorTrainResult short_run = train(k, {}, short_weights);
+    EXPECT_EQ(stopped.epoch_losses, short_run.epoch_losses);
+    EXPECT_EQ(stopped_weights, short_weights);
+  }
 }
 
 TEST(DetectorTraining, EmptyFrameListIsNoop) {

@@ -1,9 +1,11 @@
 // AVX2 kernel contracts that hold for every entry point in tensor/simd.hpp:
 // each returns with clean upper-YMM state, the narrow fp32 GEMM equals the
-// zero-skipping fused loop bit for bit, and the k-means distances are
-// bitwise identical to the scalar level, as the header promises.
+// zero-skipping fused loop bit for bit, and the k-means distances and the
+// training step's elementwise kernels are bitwise identical to the scalar
+// level, as the header promises.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -113,7 +115,7 @@ TEST(SimdKernelExit, EveryAvx2EntryPointReturnsWithCleanUpperState) {
       EXPECT_TRUE(exits_clean(
           "gemm_rows n=" + std::to_string(n) + " " + path, [&] {
             simd::gemm_rows(kAvx2, 0, kRows, kDepth, n, a.data(), kDepth, 1,
-                            b.data(), c.data());
+                            b.data(), nullptr, c.data());
           }));
       b[n / 2] = std::numeric_limits<float>::infinity();
     }
@@ -163,6 +165,36 @@ TEST(SimdKernelExit, EveryAvx2EntryPointReturnsWithCleanUpperState) {
   EXPECT_TRUE(exits_clean("kmeans_distances", [&] {
     simd::kmeans_distances(kAvx2, point.data(), kDims, centroids_t.data(),
                            kStride, dist.data());
+  }));
+
+  // Training-step kernels at a width with a vector body and a tail, and a
+  // column count spanning two register panels.
+  constexpr std::size_t kWidth = 42;
+  const std::vector<float> x = uniform_floats(kRows * kWidth, rng);
+  const std::vector<float> upstream = uniform_floats(kWidth, rng);
+  std::vector<float> out(kWidth);
+  EXPECT_TRUE(exits_clean("column_sums", [&] {
+    simd::column_sums(kAvx2, x.data(), kRows, kWidth, out.data());
+  }));
+  EXPECT_TRUE(exits_clean("relu_forward", [&] {
+    simd::relu_forward(kAvx2, x.data(), kWidth, out.data());
+  }));
+  EXPECT_TRUE(exits_clean("relu_backward", [&] {
+    simd::relu_backward(kAvx2, x.data(), upstream.data(), kWidth, out.data());
+  }));
+  std::vector<float> value = uniform_floats(kWidth, rng);
+  std::vector<float> m(kWidth, 0.0f);
+  std::vector<float> v(kWidth, 0.0f);
+  simd::AdamStep step;
+  step.lr = 1e-3f;
+  step.beta1 = 0.9f;
+  step.beta2 = 0.999f;
+  step.epsilon = 1e-8f;
+  step.bias1 = 0.1f;
+  step.bias2 = 0.001f;
+  EXPECT_TRUE(exits_clean("adam_update", [&] {
+    simd::adam_update(kAvx2, step, kWidth, value.data(), upstream.data(),
+                      m.data(), v.data());
   }));
 }
 #endif  // ANOLE_TEST_XINUSE
@@ -250,28 +282,43 @@ struct ZeroSignCase {
   }
 };
 
-/// Runs rows [0, m) of the GEMM at AVX2 in both A layouts and counts the
-/// outputs whose bits differ from the skipping reference.
+/// Runs rows [0, m) of the GEMM at AVX2 in both A layouts, without and
+/// with a bias, and counts the outputs whose bits differ from the skipping
+/// reference (plus the bias, added once after the last step). The bias
+/// holds -0 and +0 entries, which keep or clear a -0 output's sign.
 std::size_t avx2_mismatches(const ZeroSignCase& c, std::size_t m,
                             std::size_t n) {
   constexpr std::size_t kDepth = ZeroSignCase::kDepth;
-  const std::vector<float> expected = skipping_fma_reference(
+  const std::vector<float> reference = skipping_fma_reference(
       m, kDepth, n, c.a.data(), kDepth, 1, c.b.data());
   const std::vector<float> at = c.a_transposed();
+  std::vector<float> bias(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    bias[j] = j % 3 == 0 ? -0.0f : (j % 3 == 1 ? 0.0f : 0.25f);
+  }
   std::size_t mismatches = 0;
-  for (const bool transposed : {false, true}) {
-    std::vector<float> out(m * n, 1.0f);
-    simd::gemm_rows(simd::Level::kAVX2, 0, m, kDepth, n,
-                    transposed ? at.data() : c.a.data(),
-                    transposed ? 1 : kDepth,
-                    transposed ? ZeroSignCase::kRows : 1, c.b.data(),
-                    out.data());
-    for (std::size_t e = 0; e < out.size(); ++e) {
-      if (float_bits(out[e]) != float_bits(expected[e])) {
-        ++mismatches;
-        ADD_FAILURE() << (transposed ? "acs = m" : "acs = 1") << " m=" << m
-                      << " n=" << n << " row " << e / n << " col " << e % n
-                      << ": " << out[e] << " vs " << expected[e];
+  for (const bool with_bias : {false, true}) {
+    std::vector<float> expected = reference;
+    if (with_bias) {
+      for (std::size_t e = 0; e < expected.size(); ++e) {
+        expected[e] += bias[e % n];
+      }
+    }
+    for (const bool transposed : {false, true}) {
+      std::vector<float> out(m * n, 1.0f);
+      simd::gemm_rows(simd::Level::kAVX2, 0, m, kDepth, n,
+                      transposed ? at.data() : c.a.data(),
+                      transposed ? 1 : kDepth,
+                      transposed ? ZeroSignCase::kRows : 1, c.b.data(),
+                      with_bias ? bias.data() : nullptr, out.data());
+      for (std::size_t e = 0; e < out.size(); ++e) {
+        if (float_bits(out[e]) != float_bits(expected[e])) {
+          ++mismatches;
+          ADD_FAILURE() << (transposed ? "acs = m" : "acs = 1")
+                        << (with_bias ? " with bias" : "") << " m=" << m
+                        << " n=" << n << " row " << e / n << " col " << e % n
+                        << ": " << out[e] << " vs " << expected[e];
+        }
       }
     }
   }
@@ -279,9 +326,9 @@ std::size_t avx2_mismatches(const ZeroSignCase& c, std::size_t m,
 }
 
 /// Every narrow width (n = 1..64), a multi-row-group call (19 rows) and a
-/// single-row call, both A layouts: the AVX2 result equals the zero-
-/// skipping fmaf loop bit for bit, -0 outputs and the underflow row
-/// included.
+/// single-row call, both A layouts, with and without a bias: the AVX2
+/// result equals the zero-skipping fmaf loop bit for bit, -0 outputs and
+/// the underflow row included.
 TEST(NarrowGemm, MatchesZeroSkippingFmaBitwise) {
   if (simd::detected_level() < simd::Level::kAVX2) {
     GTEST_SKIP() << "host lacks AVX2";
@@ -355,7 +402,7 @@ TEST(NarrowGemm, KeepsTheCallersUnderflowFlag) {
     simd::gemm_rows(simd::Level::kAVX2, 0, ZeroSignCase::kRows - first_row,
                     ZeroSignCase::kDepth, kN,
                     c.a.data() + first_row * ZeroSignCase::kDepth,
-                    ZeroSignCase::kDepth, 1, c.b.data(), out.data());
+                    ZeroSignCase::kDepth, 1, c.b.data(), nullptr, out.data());
   };
   const std::uint32_t saved = read_mxcsr();
   // Rows 3.. never underflow (row 2 holds the -1e-30 coefficient).
@@ -427,6 +474,220 @@ TEST(KMeansDistances, BitwiseIdenticalAtEveryLevel) {
     EXPECT_EQ(differing, 0u) << simd::level_name(level) << ": " << differing
                              << " of " << kPoints
                              << " points have a distance off the reference";
+  }
+}
+
+/// --- training-step elementwise kernels: scalar == AVX2 bit for bit ---
+
+/// The widths the detector's layers run (5 outputs, 16 hidden, 42 inputs):
+/// a lone masked vector, whole vectors, and whole vectors plus a tail.
+constexpr std::size_t kElementwiseWidths[] = {5, 16, 42};
+
+/// Values at every IEEE corner the kernels must treat as the scalar loops
+/// do: NaN, both zeros, both infinities, subnormals, and FLT_MIN with its
+/// neighbours (the Adam flush boundary).
+std::vector<float> special_floats() {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  return {std::nanf(""),
+          0.0f,
+          -0.0f,
+          inf,
+          -inf,
+          denorm,
+          -denorm,
+          1e-40f,
+          -3e-39f,
+          FLT_MIN,
+          -FLT_MIN,
+          std::nextafter(FLT_MIN, 0.0f),
+          std::nextafter(FLT_MIN, 1.0f),
+          -std::nextafter(FLT_MIN, 0.0f),
+          1.0f,
+          -1.0f};
+}
+
+/// `n` uniform values with every third replaced by the next special value
+/// in turn, so each special lands in body lanes and tail lanes alike.
+std::vector<float> with_specials(std::size_t n, Rng& rng,
+                                 std::size_t offset) {
+  const std::vector<float> specials = special_floats();
+  std::vector<float> values = uniform_floats(n, rng);
+  for (std::size_t i = 0; i < n; i += 3) {
+    values[i] = specials[(offset + i / 3) % specials.size()];
+  }
+  return values;
+}
+
+/// Counts the elements whose bits differ, reporting each.
+std::size_t bit_mismatches(const std::vector<float>& scalar,
+                           const std::vector<float>& avx2,
+                           const std::string& what) {
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < scalar.size(); ++i) {
+    if (float_bits(scalar[i]) != float_bits(avx2[i])) {
+      ++mismatches;
+      ADD_FAILURE() << what << " element " << i << ": scalar " << scalar[i]
+                    << " (0x" << std::hex << float_bits(scalar[i])
+                    << ") vs avx2 " << avx2[i] << " (0x" << float_bits(avx2[i])
+                    << ")" << std::dec;
+    }
+  }
+  return mismatches;
+}
+
+TEST(ElementwiseKernels, ColumnSumsBitwiseEqualAcrossLevels) {
+  if (simd::detected_level() < simd::Level::kAVX2) {
+    GTEST_SKIP() << "host lacks AVX2";
+  }
+  Rng rng(3141);
+  for (std::size_t cols : kElementwiseWidths) {
+    for (std::size_t rows : {std::size_t{1}, std::size_t{37}}) {
+      // Uniform rows first, then one row of each special value: sums that
+      // cancel, overflow to inf, and turn NaN.
+      std::vector<float> x = uniform_floats(rows * cols, rng);
+      for (std::size_t offset = 0; offset < 4; ++offset) {
+        const std::vector<float> row = with_specials(cols, rng, offset);
+        x.insert(x.end(), row.begin(), row.end());
+      }
+      const std::size_t total_rows = rows + 4;
+      std::vector<float> scalar(cols, 1.0f);
+      std::vector<float> avx2(cols, 2.0f);
+      simd::column_sums(simd::Level::kScalar, x.data(), total_rows, cols,
+                        scalar.data());
+      simd::column_sums(simd::Level::kAVX2, x.data(), total_rows, cols,
+                        avx2.data());
+      EXPECT_EQ(bit_mismatches(scalar, avx2,
+                               "column_sums " + std::to_string(total_rows) +
+                                   "x" + std::to_string(cols)),
+                0u);
+    }
+  }
+}
+
+TEST(ElementwiseKernels, ReluForwardAndBackwardBitwiseEqualAcrossLevels) {
+  if (simd::detected_level() < simd::Level::kAVX2) {
+    GTEST_SKIP() << "host lacks AVX2";
+  }
+  Rng rng(2718);
+  for (std::size_t n : kElementwiseWidths) {
+    for (std::size_t offset = 0; offset < 3; ++offset) {
+      const std::vector<float> x = with_specials(n, rng, offset);
+      const std::vector<float> upstream = with_specials(n, rng, offset + 5);
+      const std::string what = "n=" + std::to_string(n);
+      std::vector<float> scalar(n, 1.0f);
+      std::vector<float> avx2(n, 2.0f);
+      simd::relu_forward(simd::Level::kScalar, x.data(), n, scalar.data());
+      simd::relu_forward(simd::Level::kAVX2, x.data(), n, avx2.data());
+      EXPECT_EQ(bit_mismatches(scalar, avx2, "relu_forward " + what), 0u);
+      // The ternary's +0 for NaN and -0 inputs.
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!(x[i] > 0.0f)) {
+          EXPECT_EQ(float_bits(avx2[i]), 0u) << i;
+        }
+      }
+      simd::relu_backward(simd::Level::kScalar, x.data(), upstream.data(), n,
+                          scalar.data());
+      simd::relu_backward(simd::Level::kAVX2, x.data(), upstream.data(), n,
+                          avx2.data());
+      EXPECT_EQ(bit_mismatches(scalar, avx2, "relu_backward " + what), 0u);
+      // In place over the upstream gradient, as the header allows.
+      std::vector<float> in_place = upstream;
+      simd::relu_backward(simd::Level::kAVX2, x.data(), in_place.data(), n,
+                          in_place.data());
+      EXPECT_EQ(bit_mismatches(scalar, in_place, "in-place " + what), 0u);
+    }
+  }
+}
+
+/// One Adam update at both levels from the same state; every output array
+/// must agree bit for bit.
+void expect_adam_levels_agree(const simd::AdamStep& step,
+                              const std::vector<float>& value,
+                              const std::vector<float>& grad,
+                              const std::vector<float>& m,
+                              const std::vector<float>& v,
+                              const std::string& what) {
+  const std::size_t n = value.size();
+  std::vector<float> value_s = value, m_s = m, v_s = v;
+  std::vector<float> value_a = value, m_a = m, v_a = v;
+  simd::adam_update(simd::Level::kScalar, step, n, value_s.data(),
+                    grad.data(), m_s.data(), v_s.data());
+  simd::adam_update(simd::Level::kAVX2, step, n, value_a.data(), grad.data(),
+                    m_a.data(), v_a.data());
+  EXPECT_EQ(bit_mismatches(value_s, value_a, what + " value"), 0u);
+  EXPECT_EQ(bit_mismatches(m_s, m_a, what + " m"), 0u);
+  EXPECT_EQ(bit_mismatches(v_s, v_a, what + " v"), 0u);
+}
+
+TEST(ElementwiseKernels, AdamUpdateBitwiseEqualAcrossLevels) {
+  if (simd::detected_level() < simd::Level::kAVX2) {
+    GTEST_SKIP() << "host lacks AVX2";
+  }
+  Rng rng(1618);
+  simd::AdamStep step;
+  step.lr = 2e-3f;
+  step.beta1 = 0.9f;
+  step.beta2 = 0.999f;
+  step.epsilon = 1e-8f;
+  step.weight_decay = 1e-5f;
+  step.bias1 = 1.0f - std::pow(0.9f, 3.0f);
+  step.bias2 = 1.0f - std::pow(0.999f, 3.0f);
+  for (std::size_t n : kElementwiseWidths) {
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      std::vector<float> m = with_specials(n, rng, offset + 1);
+      std::vector<float> v = with_specials(n, rng, offset + 2);
+      for (float& x : v) x = std::fabs(x);  // a second moment is >= 0
+      expect_adam_levels_agree(step, with_specials(n, rng, offset),
+                               with_specials(n, rng, offset + 3), m, v,
+                               "n=" + std::to_string(n));
+    }
+  }
+}
+
+/// With no decay, no moment memory and a zero learning rate the update
+/// stores m = g, v = g * g and value unchanged, each through the flush:
+/// FLT_MIN stays, the float below it becomes +0, at both levels.
+TEST(ElementwiseKernels, AdamFlushBoundaryAtFltMin) {
+  if (simd::detected_level() < simd::Level::kAVX2) {
+    GTEST_SKIP() << "host lacks AVX2";
+  }
+  simd::AdamStep step;
+  step.epsilon = 1e-8f;
+  const float below = std::nextafter(FLT_MIN, 0.0f);
+  // 2^-63 squares to FLT_MIN exactly; the float below it squares lower.
+  const float root = std::ldexp(1.0f, -63);
+  const float root_below = std::nextafter(root, 0.0f);
+  for (std::size_t n : kElementwiseWidths) {
+    std::vector<float> value(n);
+    std::vector<float> grad(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float sign = i % 2 == 0 ? 1.0f : -1.0f;
+      value[i] = sign * (i % 3 == 0 ? FLT_MIN : below);
+      grad[i] = sign * (i % 4 == 0 ? FLT_MIN : i % 4 == 1 ? below
+                                   : i % 4 == 2 ? root
+                                                : root_below);
+    }
+    const std::vector<float> zeros(n, 0.0f);
+    expect_adam_levels_agree(step, value, grad, zeros, zeros,
+                             "boundary n=" + std::to_string(n));
+    std::vector<float> updated = value;
+    std::vector<float> m = zeros;
+    std::vector<float> v = zeros;
+    simd::adam_update(simd::Level::kAVX2, step, n, updated.data(),
+                      grad.data(), m.data(), v.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool value_normal = i % 3 == 0;
+      EXPECT_EQ(float_bits(updated[i]),
+                float_bits(value_normal ? value[i] : 0.0f))
+          << "value " << i;
+      const bool grad_normal = i % 4 != 1;
+      EXPECT_EQ(float_bits(m[i]), float_bits(grad_normal ? grad[i] : 0.0f))
+          << "m " << i;
+      const bool square_normal = i % 4 == 2;
+      EXPECT_EQ(float_bits(v[i]), float_bits(square_normal ? FLT_MIN : 0.0f))
+          << "v " << i;
+    }
   }
 }
 

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 
+#include "simd_levels.hpp"
 #include "util/rng.hpp"
 
 namespace anole {
@@ -124,12 +126,36 @@ TEST(Tensor, TransposedMatmulsAgreeWithExplicitTranspose) {
   EXPECT_TRUE(allclose(matmul_transpose_b(c, d), matmul(c, transpose(d))));
 }
 
-TEST(Tensor, AddRowBroadcast) {
-  Tensor m = Tensor::matrix(2, 3, 1.0f);
-  const Tensor bias = Tensor::vector({1.0f, 2.0f, 3.0f});
-  add_row_broadcast(m, bias);
-  EXPECT_EQ(m.at(0, 0), 2.0f);
-  EXPECT_EQ(m.at(1, 2), 4.0f);
+/// The bias added in the GEMM's final store rounds like a separate pass
+/// over the product, on the narrow (n <= 64) and blocked (n > 64) paths at
+/// every level, and with an empty depth.
+TEST(Tensor, MatmulBiasEqualsMatmulThenBiasPass) {
+  Rng rng(12);
+  for (simd::Level level : available_levels()) {
+    const SimdLevelGuard pin(level);
+    for (std::size_t n : {std::size_t{3}, std::size_t{16}, std::size_t{42},
+                          std::size_t{300}}) {
+      for (std::size_t k : {std::size_t{0}, std::size_t{7}, std::size_t{70}}) {
+        const Tensor a = random_matrix(13, k, rng);
+        const Tensor b = random_matrix(k, n, rng);
+        Tensor bias = random_matrix(1, n, rng).reshaped(Shape{n});
+        bias[0] = -0.0f;
+        Tensor expected = matmul(a, b);
+        for (std::size_t r = 0; r < expected.rows(); ++r) {
+          for (std::size_t c = 0; c < n; ++c) expected.at(r, c) += bias[c];
+        }
+        const Tensor fused = matmul_bias(a, b, bias);
+        ASSERT_EQ(fused.shape(), expected.shape());
+        EXPECT_EQ(std::memcmp(fused.data().data(), expected.data().data(),
+                              fused.size() * sizeof(float)),
+                  0)
+            << simd::level_name(level) << " n=" << n << " k=" << k;
+      }
+    }
+  }
+  const Tensor a = Tensor::matrix(2, 3);
+  EXPECT_THROW(matmul_bias(a, Tensor::matrix(3, 4), Tensor(Shape{3})),
+               std::invalid_argument);
 }
 
 TEST(Tensor, SumRows) {
