@@ -3,13 +3,11 @@
 // the paper's plain per-frame MSS — plain, plain + overload governor, and
 // plain + drift responder (CUSUM detector -> floor recalibration + forced
 // re-rank). Reports an F1/latency matrix per pack and compares the
-// responder against plain, then pins the robustness contracts: scenario
-// trace hashes and frames replay bitwise across reruns and 1-vs-4 worker
-// threads, and ANOLE_DRIFT=0 reproduces the plain timeline exactly.
-// Writes BENCH_scenarios.json.
+// responder against plain, then pins the replay contract: scenario trace
+// hashes and frames replay bitwise across reruns and 1-vs-4 worker
+// threads. Writes BENCH_scenarios.json.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,7 +27,7 @@ constexpr std::size_t kStreamLength = 900;
 
 struct PackSpec {
   const char* name;
-  const char* spec;  // ScenarioConfig grammar, parsed like ANOLE_SCENARIO
+  const char* spec;  // ScenarioConfig::parse grammar
 };
 
 constexpr PackSpec kPacks[] = {
@@ -70,7 +68,7 @@ int main() {
   using namespace anole;
   bench::print_banner("Hostile-world scenarios",
                       "scenario packs x {plain, governor, responder} "
-                      "with replay and drift-detach contracts");
+                      "with a replay contract");
 
   auto stack = bench::train_standard_stack();
   const auto tx2 = device::DeviceProfile::jetson_tx2_nx(
@@ -115,8 +113,8 @@ int main() {
     return stats;
   };
 
-  // ---- Contract 1: scenario composition replays bitwise across reruns
-  // and worker-thread counts.
+  // ---- Contract: scenario composition replays bitwise across reruns and
+  // worker-thread counts.
   bool scenario_replay_identical = true;
   const std::size_t saved_threads = par::thread_count();
   std::vector<world::ScenarioStream> streams;
@@ -190,18 +188,6 @@ int main() {
                                                        : "differ");
   }
 
-  // ---- Contract 2: ANOLE_DRIFT=0 detaches the responder and reproduces
-  // the plain timeline exactly.
-  const std::size_t drift_idx = 1;  // kPacks order
-  const RunStats& plain = matrix[drift_idx][0];
-  ::setenv("ANOLE_DRIFT", "0", 1);
-  const RunStats detached = run(streams[drift_idx], Posture::kResponder);
-  ::unsetenv("ANOLE_DRIFT");
-  const bool detach_exact = detached.timeline_hash == plain.timeline_hash &&
-                            detached.f1 == plain.f1 &&
-                            detached.drift_responses == 0;
-  std::printf("ANOLE_DRIFT=0 reproduces the plain timeline: %s\n",
-              detach_exact ? "yes" : "NO (detach regression!)");
   std::printf(
       "scenario trace hashes and frames rerun/thread invariant: %s\n",
       scenario_replay_identical ? "yes" : "NO (determinism bug!)");
@@ -211,7 +197,6 @@ int main() {
   json.integer("frames_per_pack", kStreamLength)
       .number("deadline_ms", bench::kDeadlineMs, 1)
       .boolean("scenario_replay_identical", scenario_replay_identical)
-      .boolean("drift_detach_exact", detach_exact)
       .begin_object("packs");
   for (std::size_t p = 0; p < streams.size(); ++p) {
     json.begin_object(kPacks[p].name)
@@ -235,5 +220,5 @@ int main() {
   }
   json.end_object();
   if (!bench::save_json("BENCH_scenarios.json", json)) return 1;
-  return (scenario_replay_identical && detach_exact) ? 0 : 1;
+  return scenario_replay_identical ? 0 : 1;
 }

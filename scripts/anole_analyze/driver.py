@@ -140,14 +140,10 @@ def run_analysis(root: Path, enabled: set[str] | None = None,
     # env-var-registry.
     if on("env-var-registry"):
         documented = readme_env_vars(root)
-        src_env_vars: set[str] = set()
         for f in files:
             ctx = FileContext(f.rel, f.tokens, f.includes, False)
             ctx.getenv_sites = f.getenv_sites
             findings.extend(rules.rule_env_var_registry(ctx, documented))
-            if f.rel.startswith("src/"):
-                src_env_vars.update(var for _, var in f.getenv_sites)
-        findings.extend(rules.rule_required_env_vars(src_env_vars))
 
     # contract-coverage ratchet.
     coverage = None

@@ -538,26 +538,6 @@ def rule_env_var_registry(ctx: FileContext, readme_vars: set[str]):
                 "environment table; add a row describing the knob")
 
 
-# Knobs the runtime contractually honors: the scenario-pack composer and
-# the drift-response detach path both promise env-driven behavior
-# (DESIGN.md §14), so a refactor that drops their getenv site silently
-# breaks the replay/detach guarantees. The registry rule fails when any
-# of these has no getenv site under src/.
-REQUIRED_ENV_VARS = ("ANOLE_SCENARIO", "ANOLE_DRIFT")
-
-
-def rule_required_env_vars(src_env_vars: set[str]):
-    """The inverse direction of the registry: each contractually-required
-    knob must still be read somewhere under src/."""
-    for var in REQUIRED_ENV_VARS:
-        if var not in src_env_vars:
-            yield Finding(
-                "README.md", 1, "env-var-registry",
-                f"required runtime knob {var} has no getenv site under "
-                "src/; the scenario/drift subsystems promise env-driven "
-                "behavior (DESIGN.md §14) and must stay wired to it")
-
-
 ALL_FILE_RULES = [
     ("no-c-prng", rule_no_c_prng),
     ("no-naked-new", rule_no_naked_new),

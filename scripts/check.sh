@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full correctness gate, eleven named stages:
+# Full correctness gate, ten named stages:
 #
 #   lint      repo lint (token analyzer) + analyzer self-test
 #   release   Release build + tests (warnings are errors)
@@ -11,7 +11,6 @@
 #   faults    tier-1 tests under a canned ANOLE_FAULTS schedule (ASan)
 #   simd      tier-1 tests under forced SIMD dispatch levels (Release)
 #   soak      10k-frame governor soak under overload faults (ASan)
-#   scenarios tier-1 tests under a canned ANOLE_SCENARIO (ASan)
 #   tidy      static-analysis gate: analyzer + ratchet + clang-tidy
 #
 # Non-zero exit on the first failure; a per-stage timing summary prints at
@@ -212,16 +211,6 @@ stage_soak() {
     ctest --test-dir build-asan --output-on-failure -R 'GovernorSoak'
 }
 
-stage_scenarios() {
-  # Tier-1 suite with every scenario pack armed from the environment:
-  # code that composes hostile streams (or reads ANOLE_SCENARIO at all)
-  # must parse this spec, stay deterministic, and leave tests that never
-  # consult it untouched. ASan+UBSan watch the composition and the
-  # drift-response paths.
-  ANOLE_SCENARIO="seed=97,drift=0.5,degrade=0.5x2,bursts=0.2,diurnal=0.5" \
-    ctest --test-dir build-asan --output-on-failure -j "$jobs"
-}
-
 stage_tidy() {
   # The full static gate: analyzer (including the contract-coverage ratchet
   # against scripts/lint_baseline.json -- regressions fail here) plus the
@@ -246,7 +235,6 @@ run_stage tsan    "TSan build + tests (thread pool race check)"    stage_tsan
 run_stage faults  "tier-1 tests under injected faults (ASan)"      stage_faults
 run_stage simd    "tier-1 tests under forced SIMD levels"          stage_simd
 run_stage soak    "governor soak: 10k frames under faults (ASan)"  stage_soak
-run_stage scenarios "tier-1 tests under ANOLE_SCENARIO (ASan)"     stage_scenarios
 run_stage tidy    "static gate: analyzer ratchet + clang-tidy"     stage_tidy
 
 echo "check.sh: all gates passed"

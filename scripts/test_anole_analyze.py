@@ -176,14 +176,8 @@ class TestDeepRules(unittest.TestCase):
 
     def test_env_var_registry(self):
         got = findings_for("env-var-registry")
-        # bad_env.cpp: undocumented knob. README.md:1: ANOLE_DRIFT is a
-        # required knob with no getenv site in the fixture tree
-        # (ANOLE_SCENARIO is registered by scenario_env.cpp, so it does
-        # not fire).
-        self.assertEqual(got, {
-            "src/core/bad_env.cpp": [11],
-            "README.md": [1],
-        })
+        # bad_env.cpp: undocumented knob.
+        self.assertEqual(got, {"src/core/bad_env.cpp": [11]})
 
     def test_no_naked_intrinsics(self):
         got = findings_for("no-naked-intrinsics")

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "nn/quantize.hpp"
 #include "nn/serialize.hpp"
 
 namespace anole::core {
@@ -380,18 +379,6 @@ AnoleSystem load_system(std::istream& in, fault::FaultInjector* faults) {
   // irrelevant; a fixed seed keeps loading deterministic anyway.
   Rng rng(0xA401EULL);
   load_sections(in, system, faults, rng);
-  // The ANOLE_QUANT=0 escape hatch: serve fp32 even from a quantized
-  // artifact (the dequantized weights are the codes the int8 kernel
-  // would have used, so accuracy is unchanged; only speed is).
-  if (!nn::quantization_enabled()) {
-    for (std::size_t m = 0; m < system.repository.size(); ++m) {
-      nn::dequantize_linear_layers(
-          system.repository.model(m).detector->network());
-    }
-    if (system.decision) {
-      nn::dequantize_linear_layers(system.decision->head());
-    }
-  }
   return system;
 }
 

@@ -21,8 +21,9 @@
 // and int8-quantized layers as int8 weights + fp16 scales (~4x fewer
 // bytes on a cache miss). The encoder section is the fp32 ANOLEWTS
 // parameter walk (its trunk is shared with the decision head and is
-// never quantized). Loads honor ANOLE_QUANT=0 by dequantizing every
-// network to fp32 before returning.
+// never quantized). Loads return each network in the precision it was
+// saved in; a caller that wants fp32 from a quantized artifact calls
+// core::dequantize_system on the loaded system.
 #pragma once
 
 #include <cstdint>

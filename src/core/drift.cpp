@@ -2,18 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <string_view>
 
 #include "util/check.hpp"
 #include "util/hash.hpp"
 
 namespace anole::core {
-
-bool drift_enabled_from_env() {
-  const char* value = std::getenv("ANOLE_DRIFT");
-  return value == nullptr || std::string_view(value) != "0";
-}
 
 const char* to_string(DriftEventKind kind) {
   switch (kind) {

@@ -22,9 +22,8 @@
 // trace. The detector is purely deterministic: no clocks, no Rng, one
 // observation per decision-model run, so for a fixed observation sequence
 // the event trace and its FNV-1a hash are bitwise identical across runs
-// and thread counts. ANOLE_DRIFT=0 detaches the detector everywhere it
-// is consulted (mirroring ANOLE_GOVERNOR), reproducing the unadapted
-// timeline exactly.
+// and thread counts. An engine or session given no detector (a null
+// `drift` pointer) runs the unadapted timeline.
 #pragma once
 
 #include <cstddef>
@@ -32,10 +31,6 @@
 #include <vector>
 
 namespace anole::core {
-
-/// True unless the environment variable ANOLE_DRIFT is set to "0" (read
-/// fresh on every call; tests toggle it mid-process).
-bool drift_enabled_from_env();
 
 struct DriftConfig {
   /// Sliding window of confidence observations used for recalibration.

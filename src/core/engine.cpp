@@ -73,9 +73,6 @@ AnoleEngine::AnoleEngine(AnoleSystem& system, const EngineConfig& config)
   }
   cache_.set_model_bytes(model_bytes);
 
-  governor_ =
-      core::governor_enabled_from_env() ? config.governor : nullptr;
-  drift_ = core::drift_enabled_from_env() ? config.drift : nullptr;
   effective_floor_ = config.confidence_floor;
 }
 
@@ -146,7 +143,7 @@ std::optional<std::size_t> AnoleEngine::plan_with_suitability(
   // Overload governor (DESIGN.md §11): one plan() per frame decides
   // drop / swap suppression / ranking reuse before any stateful work.
   core::GovernorDirective directive;
-  if (governor_ != nullptr) directive = governor_->plan();
+  if (config_.governor != nullptr) directive = config_.governor->plan();
   result.governor_state = directive.state;
 
   if (directive.drop_frame) {
@@ -168,8 +165,8 @@ std::optional<std::size_t> AnoleEngine::plan_with_suitability(
   // Recalibrate the floor and drop the cached ranking, so this frame
   // re-ranks all models fresh even while the governor is throttling
   // ranking refreshes.
-  if (drift_ != nullptr && drift_->response_pending()) {
-    const DriftResponse response = drift_->take_response();
+  if (config_.drift != nullptr && config_.drift->response_pending()) {
+    const DriftResponse response = config_.drift->take_response();
     result.health.drift_detected = true;
     ++drift_responses_;
     if (response.recalibrated_floor >= 0.0 &&
@@ -235,8 +232,8 @@ std::optional<std::size_t> AnoleEngine::plan_with_suitability(
   // and shed frames carry no new decision evidence, so they are not fed —
   // the detector's observation stream (and trace hash) is a pure function
   // of the fresh-ranking sequence, identical across thread counts.
-  if (drift_ != nullptr && !reuse_ranking) {
-    drift_->observe_confidence(result.top1_confidence);
+  if (config_.drift != nullptr && !reuse_ranking) {
+    config_.drift->observe_confidence(result.top1_confidence);
   }
 
   result.model_switched =

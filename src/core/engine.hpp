@@ -55,15 +55,11 @@ struct EngineConfig {
   /// (and runs fault-free when that is unset).
   std::shared_ptr<fault::FaultInjector> faults;
   /// Overload governor consulted once per frame (DESIGN.md §11). Null
-  /// (the default) means ungoverned; the pointer is also ignored when
-  /// ANOLE_GOVERNOR=0, reproducing ungoverned behavior exactly. Not
-  /// owned; must outlive the engine.
+  /// (the default) means ungoverned. Not owned; must outlive the engine.
   core::RuntimeGovernor* governor = nullptr;
   /// Drift detector fed one confidence observation per decision-model run
   /// (DESIGN.md §14); its responses recalibrate the confidence floor and
-  /// force a re-rank. Null (the default)
-  /// means no drift response; the pointer is also ignored when
-  /// ANOLE_DRIFT=0, reproducing the unadapted timeline exactly. Not
+  /// force a re-rank. Null (the default) means no drift response. Not
   /// owned; must outlive the engine.
   core::DriftDetector* drift = nullptr;
 };
@@ -172,7 +168,7 @@ class AnoleEngine {
   /// admissible.
   std::size_t degraded_frames() const { return degraded_frames_; }
 
-  /// --- active-precision introspection (artifact v3 / ANOLE_QUANT) ---
+  /// --- active-precision introspection (artifact v3) ---
 
   /// Frames whose serving detector ran int8.
   std::size_t quantized_frames() const { return quantized_frames_; }
@@ -189,9 +185,6 @@ class AnoleEngine {
   std::size_t reused_ranking_frames() const {
     return reused_ranking_frames_;
   }
-  /// The governor in effect; null when ungoverned (none configured or
-  /// ANOLE_GOVERNOR=0).
-  core::RuntimeGovernor* governor() const { return governor_; }
 
   /// --- drift introspection (DESIGN.md §14) ---
 
@@ -202,9 +195,6 @@ class AnoleEngine {
   /// The confidence floor currently in effect (config value until a drift
   /// response recalibrates it).
   double effective_confidence_floor() const { return effective_floor_; }
-  /// The drift detector in effect; null when detached (none configured or
-  /// ANOLE_DRIFT=0).
-  core::DriftDetector* drift() const { return drift_; }
   /// True when the M_decision head currently carries int8 layers.
   bool decision_quantized() const;
   /// True when detector `model` currently carries int8 layers.
@@ -251,12 +241,10 @@ class AnoleEngine {
   std::size_t quantized_frames_ = 0;
   std::optional<std::size_t> last_served_;
   /// --- governor state ---
-  core::RuntimeGovernor* governor_ = nullptr;
   std::size_t dropped_frames_ = 0;
   std::size_t swap_suppressed_frames_ = 0;
   std::size_t reused_ranking_frames_ = 0;
   /// --- drift-response state (DESIGN.md §14) ---
-  core::DriftDetector* drift_ = nullptr;
   std::size_t drift_responses_ = 0;
   std::size_t drift_recalibrations_ = 0;
   /// Floor currently in effect; starts at the config value and moves only

@@ -1,8 +1,5 @@
 #include "core/governor.hpp"
 
-#include <cstdlib>
-#include <string_view>
-
 #include "tensor/simd.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -16,11 +13,6 @@ const char* to_string(GovernorState state) {
     case GovernorState::kShedding: return "shedding";
   }
   ANOLE_UNREACHABLE("unknown GovernorState ", static_cast<int>(state));
-}
-
-bool governor_enabled_from_env() {
-  const char* value = std::getenv("ANOLE_GOVERNOR");
-  return value == nullptr || std::string_view(value) != "0";
 }
 
 RuntimeGovernor::RuntimeGovernor(GovernorConfig config)

@@ -40,10 +40,6 @@ enum class GovernorState : std::uint8_t {
 
 const char* to_string(GovernorState state);
 
-/// True unless the environment variable ANOLE_GOVERNOR is set to "0"
-/// (read fresh on every call; tests toggle it mid-process).
-bool governor_enabled_from_env();
-
 struct GovernorConfig {
   /// Sliding window of observed frames the overrun rate is computed over.
   /// Transitions are only evaluated once the window is full.

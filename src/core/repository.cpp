@@ -221,11 +221,10 @@ ModelRepository train_model_repository(
   });
 
   // The acceptance walk, granularity by granularity in cluster order. A
-  // model's name numbers it from the repository size at the start of its
-  // granularity plus its place in that granularity's candidate list.
+  // model's name numbers it by its place in the repository: model i is
+  // M<i+1>, whether it is accepted here or backfilled below.
   for (std::size_t k = 2;
        k <= max_k && repository.size() < config.target_models; ++k) {
-    const std::size_t first_model = repository.size();
     const std::size_t begin = k == 2 ? 0 : granularity_end[k - 3];
     for (std::size_t c = begin; c < granularity_end[k - 2]; ++c) {
       if (repository.size() >= config.target_models) break;
@@ -239,7 +238,7 @@ ModelRepository train_model_repository(
       // Built via append rather than operator+ chains: GCC 12 -O2 emits a
       // spurious -Wrestrict on `"literal" + std::string&&`.
       std::string model_name = "M";
-      model_name += std::to_string(first_model + (c - begin) + 1);
+      model_name += std::to_string(repository.size() + 1);
       model_name += "(k=";
       model_name += std::to_string(k);
       model_name += ",c=";

@@ -14,8 +14,7 @@ DeviceSession::DeviceSession(const DeviceProfile& profile,
                              core::DriftDetector* drift)
     : profile_(profile), throughput_scale_(throughput_scale),
       faults_(faults),
-      governor_(core::governor_enabled_from_env() ? governor : nullptr),
-      drift_(core::drift_enabled_from_env() ? drift : nullptr) {}
+      governor_(governor), drift_(drift) {}
 
 FrameCost frame_cost(const core::AnoleSystem& system,
                      const core::EngineResult& result,

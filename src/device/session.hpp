@@ -58,13 +58,10 @@ class DeviceSession {
   /// `faults` (optional, site `load_latency_spike`) injects I/O latency
   /// spikes into frames that stream weights; it must outlive the session.
   /// `governor` (optional) receives one observe() per processed frame so
-  /// it can react to overload; it must outlive the session. The pointer
-  /// is ignored when `core::governor_enabled_from_env()` is false, so
-  /// ANOLE_GOVERNOR=0 reproduces the ungoverned timeline exactly.
+  /// it can react to overload; it must outlive the session.
   /// `drift` (optional) receives one observe_latency() per processed
   /// frame (latency-regime change detection, DESIGN.md §14); it must
-  /// outlive the session and is likewise ignored when
-  /// `core::drift_enabled_from_env()` is false (ANOLE_DRIFT=0).
+  /// outlive the session.
   DeviceSession(const DeviceProfile& profile, double throughput_scale = 1.0,
                 fault::FaultInjector* faults = nullptr,
                 core::RuntimeGovernor* governor = nullptr,

@@ -1,8 +1,5 @@
 #include "nn/quantize.hpp"
 
-#include <cstdlib>
-#include <string>
-
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -94,12 +91,6 @@ bool is_quantized(Sequential& net) {
     if (dynamic_cast<QuantizedLinear*>(&net.at(i)) != nullptr) return true;
   }
   return false;
-}
-
-bool quantization_enabled() {
-  const char* value = std::getenv("ANOLE_QUANT");
-  if (value == nullptr) return true;
-  return std::string(value) != "0";
 }
 
 }  // namespace anole::nn

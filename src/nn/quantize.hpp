@@ -69,15 +69,11 @@ std::vector<std::pair<std::size_t, ModulePtr>> quantize_linear_layers(
     Sequential& net);
 
 /// Replaces every QuantizedLinear in `net` with an equivalent fp32 Linear
-/// carrying the dequantized weights (used by ANOLE_QUANT=0 artifact
-/// loads). Returns the number of layers converted.
+/// carrying the dequantized weights. Returns the number of layers
+/// converted.
 std::size_t dequantize_linear_layers(Sequential& net);
 
 /// True when any layer of `net` is a QuantizedLinear.
 bool is_quantized(Sequential& net);
-
-/// The ANOLE_QUANT gate: quantized execution is on unless the environment
-/// sets ANOLE_QUANT=0 (read fresh on every call so tests can toggle it).
-bool quantization_enabled();
 
 }  // namespace anole::nn

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -16,6 +15,9 @@ namespace {
 
 constexpr std::array<const char*, kScenarioPackCount> kPackNames = {
     "drift", "degrade", "bursts", "diurnal"};
+
+/// How parse errors name a scenario spec.
+constexpr std::string_view kSpecSource = "scenario spec";
 
 /// Frames per scenario segment: long enough for the cache dynamics to
 /// matter, short enough that a hostile mix shift produces many scene
@@ -188,27 +190,21 @@ double ScenarioConfig::magnitude(ScenarioPack pack) const {
 
 ScenarioConfig ScenarioConfig::parse(const std::string& spec) {
   ScenarioConfig config;
-  for (const spec::Token& token : spec::tokenize(spec, "ANOLE_SCENARIO")) {
+  for (const spec::Token& token : spec::tokenize(spec, kSpecSource)) {
     if (token.key == "seed") {
-      config.seed = spec::parse_u64(token.value, "ANOLE_SCENARIO", "seed");
+      config.seed = spec::parse_u64(token.value, kSpecSource, "seed");
       continue;
     }
     const auto pack = pack_from_name(token.key);
-    ANOLE_CHECK(pack.has_value(), "ANOLE_SCENARIO: unknown pack '",
+    ANOLE_CHECK(pack.has_value(), kSpecSource, ": unknown pack '",
                 token.key,
                 "' (packs: drift, degrade, bursts, diurnal)");
     const spec::Rate rate =
-        spec::parse_rate(token.value, "ANOLE_SCENARIO", token.key);
+        spec::parse_rate(token.value, kSpecSource, token.key);
     config.packs[pack_index(*pack)] =
         PackState{rate.value, rate.magnitude};
   }
   return config;
-}
-
-std::optional<ScenarioConfig> ScenarioConfig::from_env() {
-  const char* spec = std::getenv("ANOLE_SCENARIO");
-  if (spec == nullptr || *spec == '\0') return std::nullopt;
-  return parse(std::string(spec));
 }
 
 std::uint64_t ScenarioStream::trace_hash() const {

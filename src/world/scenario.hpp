@@ -19,18 +19,18 @@
 //            diurnal cycle over the stream while object density follows
 //            morning/evening rush peaks.
 //
-// Configuration mirrors ANOLE_FAULTS: the ANOLE_SCENARIO environment
-// variable (grammar below) or programmatic arm(). Composition is seeded —
-// per-pack Rng streams keep an unarmed pack from perturbing an armed one.
-// Every draw that decides the stream is made in stream order on the
-// calling thread; only the per-frame painting and sensor degradation run
-// on the pool, each frame from its own recorded Rng states. So for a
-// given (world, config, length) the frames and the scenario event trace
-// are bitwise identical across runs and thread counts; the FNV-1a trace
-// hash and Clip::content_hash pin that in tests.
+// Configuration is programmatic: arm(), or parse() of a spec string in
+// the grammar below (the same shape as ANOLE_FAULTS). Composition is
+// seeded — per-pack Rng streams keep an unarmed pack from perturbing an
+// armed one. Every draw that decides the stream is made in stream order
+// on the calling thread; only the per-frame painting and sensor
+// degradation run on the pool, each frame from its own recorded Rng
+// states. So for a given (world, config, length) the frames and the
+// scenario event trace are bitwise identical across runs and thread
+// counts; the FNV-1a trace hash and Clip::content_hash pin that in tests.
 //
 // Spec grammar (comma-separated tokens):
-//   ANOLE_SCENARIO="seed=7,drift=1.0,degrade=0.6x2,bursts=0.03x6,diurnal=1"
+//   "seed=7,drift=1.0,degrade=0.6x2,bursts=0.03x6,diurnal=1"
 //     seed=<u64>             stream seed (default 0x5CE7A)
 //     <pack>=<intensity>     pack intensity in [0, 1] (0 disarms)
 //     <pack>=<i>x<mag>       intensity plus a pack-specific magnitude:
@@ -96,10 +96,6 @@ struct ScenarioConfig {
   /// input (unknown pack, out-of-range intensity, non-finite or
   /// non-positive magnitude, trailing garbage).
   static ScenarioConfig parse(const std::string& spec);
-
-  /// Builds a config from the ANOLE_SCENARIO environment variable.
-  /// Returns nullopt when the variable is unset or empty.
-  static std::optional<ScenarioConfig> from_env();
 };
 
 /// One scheduled hostility event, in stream order — the replayable trace.

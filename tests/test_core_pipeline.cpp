@@ -44,14 +44,21 @@ ProfilerConfig tiny_profiler_config() {
 class PipelineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    set_log_level(LogLevel::kError);
     world_ = std::make_unique<world::World>(
         world::make_benchmark_world(tiny_world_config()));
     rng_ = std::make_unique<Rng>(7);
     report_ = std::make_unique<ProfilerReport>();
-    OfflineProfiler profiler(tiny_profiler_config());
+    // Algorithm 1 logs one line per candidate its acceptance walk visits;
+    // the log is kept so tests can see the rejected candidates too.
+    ProfilerConfig config = tiny_profiler_config();
+    config.repository.verbose = true;
+    set_log_level(LogLevel::kInfo);
+    ::testing::internal::CaptureStderr();
+    OfflineProfiler profiler(config);
     system_ = std::make_unique<AnoleSystem>(
         profiler.run(*world_, *rng_, report_.get()));
+    walk_log_ = ::testing::internal::GetCapturedStderr();
+    set_log_level(LogLevel::kError);
   }
 
   static void TearDownTestSuite() {
@@ -65,12 +72,14 @@ class PipelineTest : public ::testing::Test {
   static std::unique_ptr<AnoleSystem> system_;
   static std::unique_ptr<ProfilerReport> report_;
   static std::unique_ptr<Rng> rng_;
+  static std::string walk_log_;
 };
 
 std::unique_ptr<world::World> PipelineTest::world_;
 std::unique_ptr<AnoleSystem> PipelineTest::system_;
 std::unique_ptr<ProfilerReport> PipelineTest::report_;
 std::unique_ptr<Rng> PipelineTest::rng_;
+std::string PipelineTest::walk_log_;
 
 TEST(SemanticSceneIndex, BuildsDenseClasses) {
   world::Frame a;
@@ -140,6 +149,60 @@ TEST_F(PipelineTest, RepositoryRespectsTargetAndCoverage) {
     for (std::size_t cls : model.scene_classes) covered.insert(cls);
   }
   EXPECT_GT(covered.size(), system_->scene_index.class_count() / 2);
+}
+
+TEST_F(PipelineTest, RepositoryModelNamesAreUniqueAndNumberedByIndex) {
+  std::set<std::string> names;
+  for (std::size_t m = 0; m < system_->repository.size(); ++m) {
+    const std::string& name = system_->repository.model(m).name;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+    std::string prefix = "M";
+    prefix += std::to_string(m + 1);
+    prefix += "(";
+    EXPECT_EQ(name.rfind(prefix, 0), 0u) << "model " << m << ": " << name;
+  }
+}
+
+TEST_F(PipelineTest, AcceptanceWalkAcceptsAndRejectsInGranularityOrder) {
+  // The walk logs "Algorithm1 k=<k> ... val_f1=<f1>" per visited
+  // candidate and accepts it when f1 exceeds the threshold.
+  const double threshold =
+      tiny_profiler_config().repository.acceptance_threshold;
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  std::istringstream lines(walk_log_);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("Algorithm1 k=") == std::string::npos) continue;
+    const std::size_t at = line.find("val_f1=");
+    ASSERT_NE(at, std::string::npos) << line;
+    const double f1 = std::stod(line.substr(at + 7));
+    if (f1 > threshold) {
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GE(accepted, 1u);
+  EXPECT_GE(rejected, 1u);
+
+  // Clustered models come first, by non-decreasing granularity; the
+  // backfilled specialists (cluster_k == 0) follow them all.
+  std::size_t clustered = 0;
+  std::size_t last_k = 2;
+  bool backfill_seen = false;
+  for (std::size_t m = 0; m < system_->repository.size(); ++m) {
+    const std::size_t k = system_->repository.model(m).cluster_k;
+    if (k == 0) {
+      backfill_seen = true;
+      continue;
+    }
+    EXPECT_FALSE(backfill_seen) << "clustered model " << m
+                                << " after a backfilled specialist";
+    EXPECT_GE(k, last_k) << "model " << m;
+    last_k = k;
+    ++clustered;
+  }
+  EXPECT_EQ(clustered, accepted);
 }
 
 TEST_F(PipelineTest, RepositoryTrainingSetSizes) {

@@ -1,7 +1,7 @@
 // RuntimeGovernor (core/governor.hpp): the overload state machine in
 // isolation, and the closed loop it forms with AnoleEngine, ModelCache,
 // and DeviceSession — including bitwise-identical decision traces across
-// reruns and thread counts, and exact ANOLE_GOVERNOR=0 equivalence.
+// reruns and thread counts.
 #include "core/governor.hpp"
 
 #include <gtest/gtest.h>
@@ -17,39 +17,6 @@
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
-
-namespace anole {
-namespace {
-
-/// Saves/restores an environment variable around a test body.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* saved = std::getenv(name);
-    had_value_ = saved != nullptr;
-    if (had_value_) saved_ = saved;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, 1);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_value_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_value_ = false;
-  std::string saved_;
-};
-
-}  // namespace
-}  // namespace anole
 
 namespace anole::core {
 namespace {
@@ -80,22 +47,10 @@ void drive(RuntimeGovernor& governor, std::size_t count, OverrunFn overrun) {
   }
 }
 
-TEST(Governor, StateNamesAndEnvGate) {
+TEST(Governor, StateNames) {
   EXPECT_STREQ(to_string(GovernorState::kNormal), "normal");
   EXPECT_STREQ(to_string(GovernorState::kThrottled), "throttled");
   EXPECT_STREQ(to_string(GovernorState::kShedding), "shedding");
-  {
-    ScopedEnv env("ANOLE_GOVERNOR", nullptr);
-    EXPECT_TRUE(governor_enabled_from_env());
-  }
-  {
-    ScopedEnv env("ANOLE_GOVERNOR", "0");
-    EXPECT_FALSE(governor_enabled_from_env());
-  }
-  {
-    ScopedEnv env("ANOLE_GOVERNOR", "1");
-    EXPECT_TRUE(governor_enabled_from_env());
-  }
 }
 
 TEST(Governor, ConfigValidation) {
@@ -374,7 +329,6 @@ EngineConfig small_cache_config() {
 }
 
 TEST_F(GovernorEngineTest, GovernorReducesOverrunsUnderMissPressure) {
-  ScopedEnv env("ANOLE_GOVERNOR", nullptr);
   const auto frames = spliced_stream(240);  // 1200 fast-changing frames
   const LoopOutcome ungoverned =
       run_loop(*system_, frames, small_cache_config(), nullptr);
@@ -395,35 +349,7 @@ TEST_F(GovernorEngineTest, GovernorReducesOverrunsUnderMissPressure) {
   EXPECT_EQ(governed.executed_frames + governed.dropped, frames.size());
 }
 
-TEST_F(GovernorEngineTest, GovernorEnvZeroReproducesUngovernedExactly) {
-  const auto frames = frame_stream(400);
-  LoopOutcome baseline;
-  {
-    ScopedEnv env("ANOLE_GOVERNOR", nullptr);
-    baseline = run_loop(*system_, frames, small_cache_config(), nullptr);
-  }
-  // Same run with a governor wired in but disabled by ANOLE_GOVERNOR=0:
-  // the engine and session must never consult it.
-  const GovernorConfig governed_config;
-  LoopOutcome disabled;
-  {
-    ScopedEnv env("ANOLE_GOVERNOR", "0");
-    disabled = run_loop(*system_, frames, small_cache_config(),
-                        &governed_config);
-  }
-  EXPECT_EQ(disabled.served, baseline.served);
-  EXPECT_EQ(disabled.overruns, baseline.overruns);
-  EXPECT_EQ(disabled.dropped, 0u);
-  EXPECT_EQ(disabled.swap_suppressed, 0u);
-  EXPECT_EQ(disabled.reused_rankings, 0u);
-  EXPECT_EQ(disabled.governor_transitions, 0u);
-  // An untouched governor has an empty trace: the FNV-1a offset basis.
-  RuntimeGovernor untouched{GovernorConfig{}};
-  EXPECT_EQ(disabled.governor_hash, untouched.trace_hash());
-}
-
 TEST_F(GovernorEngineTest, GovernorTraceIsThreadCountAndRerunInvariant) {
-  ScopedEnv env("ANOLE_GOVERNOR", nullptr);
   const auto frames = spliced_stream(160);  // 800 fast-changing frames
   const GovernorConfig governed_config;
   const std::size_t saved_threads = par::thread_count();
@@ -462,7 +388,6 @@ TEST_F(GovernorEngineTest, GovernorSoakBoundedDropsUnderFaults) {
     frame_count = static_cast<std::size_t>(std::strtoull(soak, nullptr, 10));
     ASSERT_GE(frame_count, 1u) << "bad ANOLE_SOAK_FRAMES";
   }
-  ScopedEnv env("ANOLE_GOVERNOR", nullptr);
   EngineConfig config = small_cache_config();
   config.faults = std::make_shared<fault::FaultInjector>(std::string(
       "seed=2033,load_latency_spike=0.01x8,memory_pressure=0.003x2"));
@@ -496,7 +421,6 @@ TEST_F(GovernorEngineTest, MemoryPressureUnderGovernorStaysReplayable) {
   // replay bitwise across reruns, and a shed frame must never be
   // double-charged — it reaches neither the cache (no load attempts) nor
   // the detector nor the device session.
-  ScopedEnv env("ANOLE_GOVERNOR", nullptr);
   const auto frames = spliced_stream(200);  // 1000 fast-changing frames
 
   struct Replay {

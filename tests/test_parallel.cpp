@@ -650,11 +650,10 @@ TEST(RepositoryQueue, TargetFilledPartwayThroughAGranularity) {
 
 TEST(RepositoryQueue, RejectedCandidatesAreWalkedPast) {
   // Rejects (k=2,c=0), (k=3,c=1) and (k=4,c=1); fills exactly at the end of
-  // k = 4. Names number from the repository size at the start of each
-  // granularity, hence the second M2.
+  // k = 4. Names number the models by repository index, rejections or not.
   expect_queue_matches_ordered_sweep(
       3, 0.02,
-      {{"M2(k=2,c=1)", "M2(k=3,c=0)", "M4(k=4,c=3)"},
+      {{"M1(k=2,c=1)", "M2(k=3,c=0)", "M3(k=4,c=3)"},
        {2, 3, 4},
        {{0, 4, 5}, {0, 5}, {1}},
        18210392735207548193ULL});

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
 #include "util/check.hpp"
@@ -79,28 +78,7 @@ TEST(Scenario, SpecErrorNamesOffendingToken) {
   } catch (const ContractViolation& error) {
     const std::string message = error.what();
     EXPECT_NE(message.find("locusts"), std::string::npos) << message;
-    EXPECT_NE(message.find("ANOLE_SCENARIO"), std::string::npos) << message;
-  }
-}
-
-TEST(Scenario, FromEnvHonorsVariable) {
-  const char* saved = std::getenv("ANOLE_SCENARIO");
-  const std::string saved_value = saved == nullptr ? "" : saved;
-
-  ::unsetenv("ANOLE_SCENARIO");
-  EXPECT_FALSE(ScenarioConfig::from_env().has_value());
-  ::setenv("ANOLE_SCENARIO", "", 1);
-  EXPECT_FALSE(ScenarioConfig::from_env().has_value());
-  ::setenv("ANOLE_SCENARIO", "seed=9,diurnal=0.75", 1);
-  const auto config = ScenarioConfig::from_env();
-  ASSERT_TRUE(config.has_value());
-  EXPECT_EQ(config->seed, 9u);
-  EXPECT_DOUBLE_EQ(config->intensity(ScenarioPack::kDiurnal), 0.75);
-
-  if (saved == nullptr) {
-    ::unsetenv("ANOLE_SCENARIO");
-  } else {
-    ::setenv("ANOLE_SCENARIO", saved_value.c_str(), 1);
+    EXPECT_NE(message.find("scenario spec"), std::string::npos) << message;
   }
 }
 
